@@ -17,29 +17,10 @@ from typing import Optional, Union
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from .errors import (
-    DimensionMismatch,
-    GridMismatch,
-    InvalidKnots,
-    RankDeficientBasis,
-    SingularSubset,
-)
-from .model import (
-    GammaPrior,
-    alpha_beta_to_zeta,
-    stick_breaking,
-    truncation_level,
-    xi_values,
-    zeta_to_alpha_beta,
-)
-from .robust import McdConfig, fast_mcd, mrcd
-from .sampler import (
-    ChainOutput,
-    _label_swap_sweep,
-    _sample_allocations,
-    _stick_posterior_counts,
-    update_gamma,
-)
+from .errors import DimensionMismatch, GridMismatch, InvalidKnots, RankDeficientBasis
+from .model import GammaPrior, _chol
+from .robust import LabeledDataset, McdConfig, extract_class_priors
+from .sampler import ChainOutput, _run_gibbs
 
 _NOISE_FLOOR = 1e-12
 
@@ -251,38 +232,22 @@ def extract_functional_priors(train: CurveSet, spec: BasisSpec, cfg: McdConfig,
                               phi: float = 0.0, v: float = 0.0) -> list[FunctionalKnownPrior]:
     """Robust per-class mean and noise curves from labeled training curves.
 
-    Spline coefficients are treated as multivariate observations; the robust
-    location of each class (regularized variant whenever the subset size
-    cannot exceed the basis dimension) gives the mean curve, and the noise
+    Spline coefficients are treated as multivariate observations and go
+    through the class-wise Stage-I dispatch of :func:`extract_class_priors`;
+    the robust location of each class gives the mean curve, and the noise
     curve is the untrimmed residual curve averaged with denominator n_j - 1.
     """
     if train.labels is None:
         raise ValueError("training curves must carry class labels")
     coefs = smooth_curves(train, spec)
     Phi = bspline_basis(spec, train.grid)
-    J = int(train.labels.max())
+    summaries = extract_class_priors(LabeledDataset(coefs, train.labels), cfg)
     priors = []
-    for j in range(1, J + 1):
+    for j, summ in enumerate(summaries, start=1):
         rows = np.flatnonzero(train.labels == j)
-        C = coefs[rows]
-        eta_j = cfg.eta_for(j)
-        cfg_j = McdConfig(eta=eta_j, n_starts=cfg.n_starts, max_csteps=cfg.max_csteps,
-                          seed=cfg.seed, max_condition=cfg.max_condition,
-                          rho_grid_step=cfg.rho_grid_step)
-        rng = np.random.default_rng([cfg.seed, j])
-        h = int(np.floor(eta_j * rows.size))
-        if h >= spec.n_basis + 1:
-            try:
-                summ = fast_mcd(C, cfg_j, rng=rng)
-            except SingularSubset:
-                summ = mrcd(C, cfg_j, rng=np.random.default_rng([cfg.seed, j]))
-        else:
-            summ = mrcd(C, cfg_j, rng=rng)
         mean_curve = Phi @ summ.mean
-        kept = train.values[rows[summ.untrimmed]]
-        resid = kept - mean_curve
-        noise = np.sum(resid ** 2, axis=0) / (rows.size - 1)
-        noise = np.maximum(noise, _NOISE_FLOOR)
+        resid = train.values[rows[summ.untrimmed]] - mean_curve
+        noise = np.maximum(np.sum(resid ** 2, axis=0) / (rows.size - 1), _NOISE_FLOOR)
         priors.append(FunctionalKnownPrior(
             grid=train.grid, mean_curve=mean_curve, noise_curve=noise,
             phi=phi, v=v))
@@ -303,7 +268,7 @@ def coef_conditional(y_sum: np.ndarray, n: int, Phi: np.ndarray,
     D = 1.0 / sigma2
     prec = np.eye(B) / tau2 + n * (Phi.T * D) @ Phi
     lin = np.full(B, psi / tau2) + Phi.T @ (D * y_sum)
-    L = np.linalg.cholesky(prec)
+    L = _chol(prec)
     mean = cho_solve((L, True), lin)
     return mean, L
 
@@ -337,7 +302,7 @@ def _sample_ig(rng, shape, scale):
 
 
 # ---------------------------------------------------------------------------
-# the functional chain
+# curve atoms and the functional chain
 # ---------------------------------------------------------------------------
 
 def _curve_loglik(Y: np.ndarray, f: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
@@ -355,153 +320,90 @@ def _prior_novel_atom(rng, hyper: FunctionalHyper, B: int, T: int) -> Functional
     return FunctionalNovelAtom(rho=rho, psi=psi, tau2=tau2, sigma2=sigma2)
 
 
+class CurveFamily:
+    """Curve atoms for the shared Gibbs driver.
+
+    A known atom is a (mean curve, noise curve) pair: with phi > 0 the mean
+    is drawn given the previous noise curve, with v > 0 the noise is drawn
+    given the new mean, and each stays at its training estimate otherwise.
+    A novelty atom is a :class:`FunctionalNovelAtom`; an occupied slot
+    updates its coefficients given the previous hierarchy and noise (a slot
+    without one first draws it from the prior), an empty slot is a fresh
+    prior draw.
+    """
+
+    def __init__(self, test: CurveSet, priors: list, hyper: FunctionalHyper):
+        self.data = test.values
+        self.priors = priors
+        self.hyper = hyper
+        self.Phi = bspline_basis(hyper.basis, test.grid)
+
+    def initial_known(self) -> list:
+        return [(pr.mean_curve.copy(), pr.noise_curve.copy()) for pr in self.priors]
+
+    def start_distances(self):
+        # pointwise-standardized squared residual, one degree per grid point
+        d2 = np.column_stack([((self.data - pr.mean_curve) ** 2 / pr.noise_curve).sum(axis=1)
+                              for pr in self.priors])
+        return d2, self.data.shape[1]
+
+    def draw_known(self, j: int, members: np.ndarray, prev, rng):
+        pr = self.priors[j]
+        Y = self.data[members]
+        f, s2 = pr.mean_curve, pr.noise_curve
+        if pr.phi > 0:
+            mean, var = known_mean_conditional(pr.mean_curve, pr.phi, Y.sum(axis=0),
+                                               members.size, prev[1])
+            f = mean + np.sqrt(var) * rng.standard_normal(f.size)
+        if pr.v > 0:
+            a_t, b_t = pr.noise_ig_params()
+            s2 = _sample_ig(rng, a_t + members.size / 2.0,
+                            b_t + 0.5 * np.sum((Y - f) ** 2, axis=0))
+        return f, s2
+
+    def draw_novel(self, members: np.ndarray, prev, rng) -> FunctionalNovelAtom:
+        hyper, Phi = self.hyper, self.Phi
+        T, B = Phi.shape
+        n = members.size
+        if n == 0:
+            return _prior_novel_atom(rng, hyper, B, T)
+        if prev is None:
+            prev = _prior_novel_atom(rng, hyper, B, T)
+        Y = self.data[members]
+        mean, Lp = coef_conditional(Y.sum(axis=0), n, Phi, prev.sigma2, prev.psi, prev.tau2)
+        rho = mean + solve_triangular(Lp.T, rng.standard_normal(B), lower=False)
+        m_psi, v_psi = psi_conditional(rho, prev.tau2, hyper.s2)
+        psi = float(rng.normal(m_psi, math.sqrt(v_psi)))
+        tau2 = float(_sample_ig(rng, *tau2_conditional(rho, psi, hyper.a_tau, hyper.b_tau)))
+        sq = np.sum((Y - Phi @ rho) ** 2, axis=0)
+        sigma2 = _sample_ig(rng, *sigma2_conditional(sq, n, hyper.a_H, hyper.b_H))
+        return FunctionalNovelAtom(rho=rho, psi=psi, tau2=tau2, sigma2=sigma2)
+
+    def loglik(self, known: list, novel: list) -> np.ndarray:
+        cols = [_curve_loglik(self.data, f, s2) for f, s2 in known]
+        cols += [_curve_loglik(self.data, self.Phi @ at.rho, at.sigma2) for at in novel]
+        return np.column_stack(cols)
+
+    def snapshot(self, known: list, novel: list) -> dict:
+        return {"known": [{"mean_curve": f.tolist()} for f, _ in known],
+                "novel": [at.to_dict() for at in novel]}
+
+
 def run_functional_chain(test: CurveSet, priors: list, hyper: FunctionalHyper,
                          record_atoms: bool = False) -> ChainOutput:
-    """Gibbs sampler for curves; same loop shape as the multivariate chain.
+    """Gibbs sampler for curves: the shared driver of
+    :mod:`novelbayes.sampler` with :class:`CurveFamily` atoms.
 
     Known atoms follow their training priors (frozen when phi = 0 resp.
     v = 0); novelty atoms update coefficients, their hierarchy, and the
-    pointwise noise by conjugacy.  Deterministic given ``hyper.seed``.
+    pointwise noise by conjugacy.  Curves start at their closest known class
+    unless their standardized residual exceeds the 99.9% chi-square quantile
+    with one degree per grid point.  Deterministic given ``hyper.seed``.
     """
-    J = hyper.n_known
-    if len(priors) != J:
+    if len(priors) != hyper.n_known:
         raise DimensionMismatch("number of priors must equal n_known")
     for pr in priors:
         if pr.grid.size != test.grid.size or not np.allclose(pr.grid, test.grid):
             raise GridMismatch("test grid differs from the training grid")
-
-    Y = test.values
-    M, T = Y.shape
-    B = hyper.basis.n_basis
-    Phi = bspline_basis(hyper.basis, test.grid)
-    kappa = hyper.kappa
-    rng = np.random.default_rng(hyper.seed)
-
-    known_f = [pr.mean_curve.copy() for pr in priors]
-    known_s2 = [pr.noise_curve.copy() for pr in priors]
-    novel: list[FunctionalNovelAtom] = []
-
-    # start each curve at its closest known class; curves implausibly far
-    # from all of them (pointwise-standardized residual beyond the 99.9%
-    # chi-square quantile) begin as singleton novelty clusters, since the
-    # sampler merges clusters far more readily than it splits them
-    alpha = np.zeros(M, dtype=int)
-    beta = np.zeros(M, dtype=int)
-    if M:
-        from scipy.stats import chi2
-
-        d2 = np.column_stack(
-            [((Y - pr.mean_curve) ** 2 / pr.noise_curve).sum(axis=1) for pr in priors])
-        best = np.argmin(d2, axis=1)
-        far = d2[np.arange(M), best] > chi2.ppf(0.999, df=T)
-        alpha = np.where(far, 0, best + 1)
-        beta[far] = 1 + np.arange(int(np.sum(far)))
-    gamma = hyper.gamma.mean if hyper.gamma_is_random else float(hyper.gamma)
-
-    n_keep = hyper.n_iter - hyper.n_burnin
-    alpha_trace = np.empty((n_keep, M), dtype=np.int32)
-    beta_trace = np.empty((n_keep, M), dtype=np.int32)
-    pi_trace = np.empty((n_keep, J + 1))
-    gamma_trace = np.empty(n_keep)
-    n_active_trace = np.empty(n_keep, dtype=np.int32)
-    snapshots = [] if record_atoms else None
-
-    v = np.zeros(0)
-    for it in range(hyper.n_iter):
-        beta, novel, v = _label_swap_sweep(beta, novel, v, rng)
-        zeta = alpha_beta_to_zeta(alpha, beta, J) if M else np.zeros(0, dtype=int)
-        xi_cur = xi_values(kappa, J, max(int(zeta.max()), J + 1) if M else J + 1)
-        if M:
-            r = np.maximum(rng.random(M), 1e-300)
-            u = r * xi_cur[zeta - 1]
-            L = max(truncation_level(u, kappa, J), int(zeta.max()))
-        else:
-            u = np.zeros(0)
-            L = J + 1
-
-        counts = np.bincount(alpha, minlength=J + 1)[:J + 1] if M else np.zeros(J + 1, dtype=int)
-        pi = rng.dirichlet(hyper.a + counts)
-
-        K = L - J
-        n_k, g_k = _stick_posterior_counts(beta, K) if M else (np.zeros(K, dtype=int),) * 2
-        v = rng.beta(1.0 + n_k, gamma + g_k)
-        omega = stick_breaking(v)
-        pitilde = np.concatenate([pi[1:], pi[0] * omega])
-
-        # known atoms
-        for j, pr in enumerate(priors):
-            members = np.flatnonzero(alpha == j + 1)
-            n_j = members.size
-            if pr.phi > 0:
-                y_sum = Y[members].sum(axis=0) if n_j else np.zeros(T)
-                mean, var = known_mean_conditional(pr.mean_curve, pr.phi,
-                                                   y_sum, n_j, known_s2[j])
-                known_f[j] = mean + np.sqrt(var) * rng.standard_normal(T)
-            else:
-                known_f[j] = pr.mean_curve
-            if pr.v > 0:
-                a_t, b_t = pr.noise_ig_params()
-                sq = np.sum((Y[members] - known_f[j]) ** 2, axis=0) if n_j else np.zeros(T)
-                known_s2[j] = _sample_ig(rng, a_t + n_j / 2.0, b_t + 0.5 * sq)
-            else:
-                known_s2[j] = pr.noise_curve
-
-        # novelty atoms
-        new_novel = []
-        for h in range(1, K + 1):
-            members = np.flatnonzero(beta == h)
-            n_h = members.size
-            if n_h == 0:
-                new_novel.append(_prior_novel_atom(rng, hyper, B, T))
-                continue
-            prev = novel[h - 1] if h - 1 < len(novel) else _prior_novel_atom(rng, hyper, B, T)
-            y_sum = Y[members].sum(axis=0)
-            mean, Lp = coef_conditional(y_sum, n_h, Phi, prev.sigma2, prev.psi, prev.tau2)
-            rho = mean + solve_triangular(Lp.T, rng.standard_normal(B), lower=False)
-            m_psi, v_psi = psi_conditional(rho, prev.tau2, hyper.s2)
-            psi = float(rng.normal(m_psi, math.sqrt(v_psi)))
-            sh_t, sc_t = tau2_conditional(rho, psi, hyper.a_tau, hyper.b_tau)
-            tau2 = float(_sample_ig(rng, sh_t, sc_t))
-            f_h = Phi @ rho
-            sq = np.sum((Y[members] - f_h) ** 2, axis=0)
-            sh_s, sc_s = sigma2_conditional(sq, n_h, hyper.a_H, hyper.b_H)
-            sigma2 = _sample_ig(rng, sh_s, sc_s)
-            new_novel.append(FunctionalNovelAtom(rho=rho, psi=psi, tau2=tau2, sigma2=sigma2))
-        novel = new_novel
-
-        # allocation
-        if M:
-            cols = [_curve_loglik(Y, f, s2) for f, s2 in zip(known_f, known_s2)]
-            cols += [_curve_loglik(Y, Phi @ at.rho, at.sigma2) for at in novel]
-            log_lik = np.column_stack(cols)
-            xi = xi_values(kappa, J, L)
-            zeta_new = _sample_allocations(rng, log_lik, pitilde, u, xi)
-            alpha, beta = zeta_to_alpha_beta(zeta_new, J)
-
-        if hyper.gamma_is_random:
-            n_novel = int(np.sum(alpha == 0))
-            k_novel = int(np.unique(beta[beta > 0]).size)
-            gamma = update_gamma(gamma, n_novel, k_novel,
-                                 hyper.gamma.shape, hyper.gamma.rate, rng)
-
-        i = it - hyper.n_burnin
-        if i < 0:
-            continue
-        alpha_trace[i] = alpha
-        beta_trace[i] = beta
-        pi_trace[i] = pi
-        gamma_trace[i] = gamma
-        n_active_trace[i] = L
-        if record_atoms and i % hyper.atom_thin == 0:
-            snapshots.append({
-                "iteration": i,
-                "known": [{"mean_curve": f.tolist()} for f in known_f],
-                "novel": [at.to_dict() for at in novel],
-            })
-
-    return ChainOutput(
-        alpha_trace=alpha_trace, beta_trace=beta_trace, pi_trace=pi_trace,
-        gamma_trace=gamma_trace, n_active_trace=n_active_trace,
-        n_known=J, seed=hyper.seed, atom_snapshots=snapshots,
-        meta={"n_iter": hyper.n_iter, "n_burnin": hyper.n_burnin,
-              "kappa": hyper.kappa, "model": "functional"})
+    return _run_gibbs(CurveFamily(test, priors, hyper), hyper, record_atoms,
+                      model="functional")

@@ -168,6 +168,13 @@ class Hyperparameters:
 # deterministic slice sequence and truncation
 # ---------------------------------------------------------------------------
 
+def _xi_constants(kappa: float, n_known: int):
+    """(J, base, ratio): the mass (1 - kappa)/(J + 1) shared by the first
+    J + 1 elements and the ratio (J + 1) kappa / (J kappa + 1) of the tail."""
+    J = int(n_known)
+    return J, (1.0 - kappa) / (J + 1), (J + 1) * kappa / (J * kappa + 1.0)
+
+
 def xi_sequence(kappa: float, n_known: int, l: int) -> float:
     """Mass of the l-th element (1-based) of the deterministic slice sequence.
 
@@ -176,23 +183,16 @@ def xi_sequence(kappa: float, n_known: int, l: int) -> float:
     remainder decays geometrically with ratio
     (J + 1) kappa / (J kappa + 1) and the whole sequence sums to one.
     """
-    if not 0.0 < kappa < 1.0:
-        raise ValueError("kappa must lie in (0, 1)")
     if l < 1:
         raise ValueError("sequence index l must be >= 1")
-    J = int(n_known)
-    base = (1.0 - kappa) / (J + 1)
-    if l <= J + 1:
-        return base
-    ratio = (J + 1) * kappa / (J * kappa + 1.0)
-    return base * ratio ** (l - J - 1)
+    return float(xi_values(kappa, n_known, l)[l - 1])
 
 
 def xi_values(kappa: float, n_known: int, length: int) -> np.ndarray:
     """First ``length`` elements of the slice sequence as an array."""
-    J = int(n_known)
-    base = (1.0 - kappa) / (J + 1)
-    ratio = (J + 1) * kappa / (J * kappa + 1.0)
+    if not 0.0 < kappa < 1.0:
+        raise ValueError("kappa must lie in (0, 1)")
+    J, base, ratio = _xi_constants(kappa, n_known)
     out = np.full(length, base)
     if length > J + 1:
         tail = np.arange(1, length - J)
@@ -210,9 +210,7 @@ def truncation_level(u: np.ndarray, kappa: float, n_known: int) -> int:
     u = np.asarray(u, dtype=float).ravel()
     if u.size == 0:
         raise EmptySlice("truncation level requires at least one slice variable")
-    J = int(n_known)
-    base = (1.0 - kappa) / (J + 1)
-    ratio = (J + 1) * kappa / (J * kappa + 1.0)
+    J, base, ratio = _xi_constants(kappa, n_known)
     bound = J + 1 + (math.log(u.min()) - math.log(base)) / math.log(ratio)
     level = math.ceil(bound) - 1  # largest integer strictly below the bound
     return max(level, J + 1)

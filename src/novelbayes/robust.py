@@ -9,7 +9,7 @@ triples seed the informative priors of the second stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
 import numpy as np
@@ -429,13 +429,9 @@ def extract_class_priors(train: LabeledDataset, cfg: McdConfig) -> list[RobustCl
     for j in range(1, train.n_classes + 1):
         rows = train.class_rows(j)
         X = train.data[rows]
-        eta_j = cfg.eta_for(j)
-        cfg_j = McdConfig(eta=eta_j, n_starts=cfg.n_starts,
-                          max_csteps=cfg.max_csteps, seed=cfg.seed,
-                          max_condition=cfg.max_condition,
-                          rho_grid_step=cfg.rho_grid_step)
+        cfg_j = replace(cfg, eta=cfg.eta_for(j))
         rng = np.random.default_rng([cfg.seed, j])
-        h = int(np.floor(eta_j * len(rows)))
+        h = int(np.floor(cfg_j.eta * len(rows)))
         try:
             if h >= p + 1:
                 try:

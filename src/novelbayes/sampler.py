@@ -1,11 +1,31 @@
 """Conditional Gibbs sampler for the test-set mixture with a nonparametric
-novelty term.
+novelty term, shared by every atom family.
 
-One iteration follows the slice-sampling recipe: uniform slice variables
-under the deterministic sequence, stochastic truncation, conjugate updates
-for the mixture weights, sticks, and all Gaussian atoms, then a categorical
-reallocation of every unit over the finitely many eligible components.
-A chain is a pure function of (data, priors, hyperparameters, seed).
+One scan follows the slice-sampling recipe: uniform slice variables under
+the deterministic sequence, stochastic truncation, conjugate updates for the
+mixture weights, the sticks and every atom, a categorical reallocation of
+each unit over the finitely many eligible components, and the concentration
+update.  A chain adds the chi-square start, a label-swap sweep before every
+scan, and the post-burn-in traces.  A chain is a pure function of
+(data, priors, hyperparameters, seed).
+
+Only the atoms depend on the model.  An atom family holds the data matrix
+as ``data`` (one row per unit) and provides
+
+- ``initial_known()`` and ``start_distances()``: the starting known atoms,
+  and an (M, J) matrix of distances that are chi-square under the known
+  classes with the returned degrees of freedom;
+- ``draw_known(j, members, prev, rng)`` and ``draw_novel(members, prev,
+  rng)``: one slot's atom from the row indices of its members and the
+  slot's previous atom (None for a novelty slot drawn for the first time);
+- ``loglik(known, novel)``: the (M, L) log-likelihood of every unit under
+  every atom;
+- ``snapshot(known, novel)``: the atoms as a JSON-ready dict.
+
+:class:`GaussianFamily` below serves the multivariate model; the curve
+family lives in :mod:`novelbayes.functional`.  The hyperparameters are duck
+typed: the loop reads ``a``, ``n_known``, ``kappa``, ``gamma``,
+``gamma_is_random``, ``n_iter``, ``n_burnin``, ``seed`` and ``atom_thin``.
 """
 
 from __future__ import annotations
@@ -19,10 +39,10 @@ from scipy.linalg import solve_triangular
 
 from .errors import AllSlicesEmpty, DimensionMismatch
 from .model import (
-    GammaPrior,
     GaussianAtom,
     Hyperparameters,
     NIWParams,
+    _chol,
     alpha_beta_to_zeta,
     log_gaussian_density_many,
     stick_breaking,
@@ -144,7 +164,7 @@ def sample_niw(params: NIWParams, rng: np.random.Generator) -> GaussianAtom:
     is SPD by construction and E[cov] = S / (nu - p - 1).
     """
     p = params.dim
-    C = np.linalg.cholesky(params.scale_matrix)
+    C = _chol(params.scale_matrix)
     A = np.zeros((p, p))
     A[np.diag_indices(p)] = np.sqrt(rng.chisquare(params.dof - np.arange(p)))
     if p > 1:
@@ -181,11 +201,11 @@ def update_gamma(current: float, n_novel: int, k_novel: int,
 
 
 # ---------------------------------------------------------------------------
-# allocation machinery (shared with the functional sampler)
+# allocation machinery
 # ---------------------------------------------------------------------------
 
 def _sq_mahalanobis_rows(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    L = np.linalg.cholesky(cov)
+    L = _chol(cov)
     Z = solve_triangular(L, (X - mean).T, lower=True)
     return np.sum(Z * Z, axis=0)
 
@@ -270,11 +290,53 @@ def _training_niw(summary: RobustClassSummary, hp: Hyperparameters) -> NIWParams
 
 
 # ---------------------------------------------------------------------------
+# Gaussian atoms
+# ---------------------------------------------------------------------------
+
+class GaussianFamily:
+    """Gaussian atoms: NIW priors centred on the Stage-I estimates for the
+    known classes (frozen at those estimates in inductive mode) and the NIW
+    base measure for novelty slots."""
+
+    def __init__(self, data: TestDataset, priors: list, hp: Hyperparameters):
+        self.data = data.data
+        self.priors = priors
+        self.base_measure = hp.base_measure
+        # building the training NIWs validates nu_tr against the dimension
+        self.known_niw = None if hp.frozen_known_atoms \
+            else [_training_niw(s, hp) for s in priors]
+
+    def initial_known(self) -> list:
+        return [GaussianAtom(s.mean, s.scatter) for s in self.priors]
+
+    def start_distances(self):
+        d2 = np.column_stack([_sq_mahalanobis_rows(self.data, s.mean, s.scatter)
+                              for s in self.priors])
+        return d2, self.data.shape[1]
+
+    def draw_known(self, j: int, members: np.ndarray, prev, rng) -> GaussianAtom:
+        if self.known_niw is None:
+            return prev
+        return sample_niw(niw_posterior(self.known_niw[j], self.data[members]), rng)
+
+    def draw_novel(self, members: np.ndarray, prev, rng) -> GaussianAtom:
+        # unoccupied slots are fresh draws from the base measure
+        return sample_niw(niw_posterior(self.base_measure, self.data[members]), rng)
+
+    def loglik(self, known: list, novel: list) -> np.ndarray:
+        return np.column_stack([log_gaussian_density_many(self.data, a.mean, a.cov)
+                                for a in known + novel])
+
+    def snapshot(self, known: list, novel: list) -> dict:
+        return {"known": [a.to_dict() for a in known],
+                "novel": [a.to_dict() for a in novel]}
+
+
+# ---------------------------------------------------------------------------
 # one Gibbs iteration
 # ---------------------------------------------------------------------------
 
-def gibbs_step(state: ChainState, data: TestDataset, hp: Hyperparameters,
-               priors: list, rng: np.random.Generator) -> ChainState:
+def gibbs_step(state: ChainState, family, hp, rng: np.random.Generator) -> ChainState:
     """Advance the chain by one full scan.
 
     Step order: slice variables, truncation level, mixture weights, sticks,
@@ -282,8 +344,7 @@ def gibbs_step(state: ChainState, data: TestDataset, hp: Hyperparameters,
     split, concentration parameter.
     """
     J = hp.n_known
-    X = data.data
-    M = X.shape[0]
+    M = state.alpha.size
     kappa = hp.kappa
 
     # 1. slice variables under the current memberships
@@ -313,28 +374,18 @@ def gibbs_step(state: ChainState, data: TestDataset, hp: Hyperparameters,
     # 6. one-line weights over the L active components
     pitilde = np.concatenate([pi[1:], pi[0] * omega])
 
-    # 7. known-class atoms
-    if hp.frozen_known_atoms:
-        known = [GaussianAtom(s.mean, s.scatter) for s in priors]
-    else:
-        known = []
-        for j, summary in enumerate(priors, start=1):
-            post = niw_posterior(_training_niw(summary, hp), X[state.alpha == j])
-            known.append(sample_niw(post, rng))
-
-    # 8. novelty atoms; unoccupied slots are fresh draws from the base measure
-    novel = []
-    for h in range(1, K + 1):
-        post = niw_posterior(hp.base_measure, X[state.beta == h])
-        novel.append(sample_niw(post, rng))
+    # 7-8. known-class atoms, then novelty atoms, each from its members
+    known = [family.draw_known(j, np.flatnonzero(state.alpha == j + 1), atom, rng)
+             for j, atom in enumerate(state.known_atoms)]
+    prev = state.novel_atoms
+    novel = [family.draw_novel(np.flatnonzero(state.beta == h),
+                               prev[h - 1] if h <= len(prev) else None, rng)
+             for h in range(1, K + 1)]
 
     # 9-10. allocation over eligible components
-    atoms = known + novel
     if M:
         xi = xi_values(kappa, J, L)
-        log_lik = np.column_stack(
-            [log_gaussian_density_many(X, a.mean, a.cov) for a in atoms])
-        zeta_new = _sample_allocations(rng, log_lik, pitilde, u, xi)
+        zeta_new = _sample_allocations(rng, family.loglik(known, novel), pitilde, u, xi)
         alpha, beta = zeta_to_alpha_beta(zeta_new, J)
     else:
         alpha = np.zeros(0, dtype=int)
@@ -357,61 +408,46 @@ def gibbs_step(state: ChainState, data: TestDataset, hp: Hyperparameters,
 # full chain
 # ---------------------------------------------------------------------------
 
-def _initial_state(data: TestDataset, hp: Hyperparameters, priors: list) -> ChainState:
+def _initial_state(family, hp) -> ChainState:
     """Deterministic start: each unit joins its closest known class unless it
     is implausibly far from all of them, in which case it starts as novelty.
 
-    Gating on the 99.9% chi-square quantile of the squared Mahalanobis
-    distance keeps gross outliers out of the first conjugate update of the
-    known atoms, which would otherwise drag those atoms off their priors.
-    Gated units start as singleton novelty clusters: merging equivalent
-    clusters is easy for a conditional sampler, splitting a merged one is
-    not, so the initial partition errs on the fine side.
+    Gating on the 99.9% chi-square quantile of the start distance keeps
+    gross outliers out of the first conjugate update of the known atoms,
+    which would otherwise drag those atoms off their priors.  Gated units
+    start as singleton novelty clusters: merging equivalent clusters is easy
+    for a conditional sampler, splitting a merged one is not, so the initial
+    partition errs on the fine side.
     """
     from scipy.stats import chi2
 
-    J = hp.n_known
-    M = len(data)
+    M = family.data.shape[0]
     alpha = np.zeros(M, dtype=int)
     beta = np.zeros(M, dtype=int)
     if M:
-        p = data.dim
-        d2 = np.column_stack([_sq_mahalanobis_rows(data.data, s.mean, s.scatter)
-                              for s in priors])
+        d2, df = family.start_distances()
         best = np.argmin(d2, axis=1)
-        far = d2[np.arange(M), best] > chi2.ppf(0.999, df=p)
+        far = d2[np.arange(M), best] > chi2.ppf(0.999, df=df)
         alpha = np.where(far, 0, best + 1)
         beta[far] = 1 + np.arange(int(np.sum(far)))
     gamma = hp.gamma.mean if hp.gamma_is_random else float(hp.gamma)
     return ChainState(
         pi=hp.a / hp.a.sum(), v=np.zeros(0), omega=np.zeros(0),
-        known_atoms=[GaussianAtom(s.mean, s.scatter) for s in priors],
-        novel_atoms=[], alpha=alpha, beta=beta,
-        u=np.zeros(M), L_star=J + 1, gamma=gamma)
+        known_atoms=family.initial_known(), novel_atoms=[], alpha=alpha,
+        beta=beta, u=np.zeros(M), L_star=hp.n_known + 1, gamma=gamma)
 
 
-def run_chain(data: TestDataset, priors: list, hp: Hyperparameters,
-              record_atoms: bool = True) -> ChainOutput:
-    """Run the Gibbs sampler and collect post-burn-in traces.
-
-    Deterministic given ``hp.seed``: two runs with identical inputs produce
-    bit-identical traces.  Atom snapshots are kept every ``hp.atom_thin``
-    retained iterations when ``record_atoms`` is set.
-    """
+def _run_gibbs(family, hp, record_atoms: bool, **meta) -> ChainOutput:
+    """Run ``hp.n_iter`` scans from the chi-square start; keep the scans
+    after ``hp.n_burnin`` and, when ``record_atoms`` is set, an atom
+    snapshot every ``hp.atom_thin`` retained scans.  ``meta`` is added to
+    the output's meta after the scan counts and kappa."""
     J = hp.n_known
-    if len(priors) != J:
-        raise DimensionMismatch("number of priors must equal n_known")
-    if len(data) and data.dim != priors[0].mean.size:
-        raise DimensionMismatch("data dimension does not match the priors")
-    if not hp.frozen_known_atoms:
-        for s in priors:
-            _training_niw(s, hp)  # validates nu_tr against the dimension
-
     rng = np.random.default_rng(hp.seed)
-    state = _initial_state(data, hp, priors)
+    state = _initial_state(family, hp)
 
     n_keep = hp.n_iter - hp.n_burnin
-    M = len(data)
+    M = state.alpha.size
     alpha_trace = np.empty((n_keep, M), dtype=np.int32)
     beta_trace = np.empty((n_keep, M), dtype=np.int32)
     pi_trace = np.empty((n_keep, J + 1))
@@ -424,7 +460,7 @@ def run_chain(data: TestDataset, priors: list, hp: Hyperparameters,
         # behind by the swap is never read
         state.beta, state.novel_atoms, state.v = _label_swap_sweep(
             state.beta, state.novel_atoms, state.v, rng)
-        state = gibbs_step(state, data, hp, priors, rng)
+        state = gibbs_step(state, family, hp, rng)
         i = it - hp.n_burnin
         if i < 0:
             continue
@@ -434,15 +470,28 @@ def run_chain(data: TestDataset, priors: list, hp: Hyperparameters,
         gamma_trace[i] = state.gamma
         n_active_trace[i] = state.L_star
         if record_atoms and i % hp.atom_thin == 0:
-            snapshots.append({
-                "iteration": i,
-                "known": [a.to_dict() for a in state.known_atoms],
-                "novel": [a.to_dict() for a in state.novel_atoms],
-            })
+            snapshots.append({"iteration": i,
+                              **family.snapshot(state.known_atoms, state.novel_atoms)})
 
     return ChainOutput(
         alpha_trace=alpha_trace, beta_trace=beta_trace, pi_trace=pi_trace,
         gamma_trace=gamma_trace, n_active_trace=n_active_trace,
         n_known=J, seed=hp.seed, atom_snapshots=snapshots,
-        meta={"n_iter": hp.n_iter, "n_burnin": hp.n_burnin,
-              "kappa": hp.kappa, "lambda_tr": hp.lambda_tr, "nu_tr": hp.nu_tr})
+        meta={"n_iter": hp.n_iter, "n_burnin": hp.n_burnin, "kappa": hp.kappa, **meta})
+
+
+def run_chain(data: TestDataset, priors: list, hp: Hyperparameters,
+              record_atoms: bool = True) -> ChainOutput:
+    """Run the Gibbs sampler with Gaussian atoms and collect post-burn-in
+    traces.
+
+    Deterministic given ``hp.seed``: two runs with identical inputs produce
+    bit-identical traces.  Atom snapshots are kept every ``hp.atom_thin``
+    retained iterations when ``record_atoms`` is set.
+    """
+    if len(priors) != hp.n_known:
+        raise DimensionMismatch("number of priors must equal n_known")
+    if len(data) and data.dim != priors[0].mean.size:
+        raise DimensionMismatch("data dimension does not match the priors")
+    return _run_gibbs(GaussianFamily(data, priors, hp), hp, record_atoms,
+                      lambda_tr=hp.lambda_tr, nu_tr=hp.nu_tr)

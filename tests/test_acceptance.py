@@ -81,26 +81,19 @@ def test_criterion_2_robustness_contrast(simulation_runs):
 # ---------------------------------------------------------------------------
 
 def _locate_seeds():
+    """A local copy of the seeds table, or None; the suite never downloads."""
     candidates = []
     env = os.environ.get("NOVELBAYES_SEEDS_PATH")
     if env:
         candidates.append(Path(env))
     candidates.append(Path(__file__).parent / "data" / "seeds_dataset.txt")
-    for path in candidates:
-        if path.exists():
-            return path
-    try:
-        from novelbayes.io import fetch_dataset
-
-        return fetch_dataset("seeds", candidates[-1])
-    except Exception:
-        return None
+    return next((path for path in candidates if path.exists()), None)
 
 
 def test_criterion_3_seeds_dataset():
     path = _locate_seeds()
     if path is None:
-        pytest.skip("seeds dataset unavailable (no network, no local copy); "
+        pytest.skip("seeds dataset unavailable (no local copy); "
                     "set NOVELBAYES_SEEDS_PATH or place seeds_dataset.txt in tests/data/")
     table = nb.io.load_multivariate(path, has_labels=True)
     X, y = table.data, table.labels

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from novelbayes.errors import GridMismatch, InvalidKnots, RankDeficientBasis
+from novelbayes.errors import (
+    DegenerateData,
+    GridMismatch,
+    InvalidKnots,
+    NotPositiveDefinite,
+    RankDeficientBasis,
+)
 from novelbayes.functional import (
     BasisSpec,
     CurveSet,
@@ -147,6 +153,16 @@ class TestFunctionalPriors:
         assert np.all(prior.noise_curve > 0)
         assert np.all(np.isfinite(prior.mean_curve))
 
+    def test_class_of_identical_curves_names_the_class(self):
+        rng = np.random.default_rng(6)
+        grid = np.linspace(0, 1, 40)
+        vals = np.vstack([np.sin(grid) + rng.normal(0, 0.1, (8, 40)),
+                          np.tile(np.cos(grid), (8, 1))])
+        curves = CurveSet(grid, vals, np.repeat([1, 2], 8))
+        with pytest.raises(DegenerateData, match="class 2"):
+            extract_functional_priors(curves, BasisSpec(n_basis=5, order=3),
+                                      McdConfig(eta=0.75, n_starts=5))
+
 
 class TestIgParameterization:
     def test_hand_example(self):
@@ -200,6 +216,12 @@ class TestNovelPriorLaw:
 class TestConditionalOracles:
     """Each conjugate full conditional against a 1-D grid integration of
     prior x likelihood on a two-curve toy problem."""
+
+    def test_non_spd_coefficient_precision_is_a_numerical_error(self):
+        # a negative coefficient variance makes the precision negative definite
+        Phi = np.ones((12, 2))
+        with pytest.raises(NotPositiveDefinite):
+            coef_conditional(np.zeros(12), 0, Phi, np.full(12, 0.3), 0.0, -1.0)
 
     def _sup_norm_vs_grid(self, grid_x, log_prior, log_lik, analytic_logpdf):
         dens = oracles.grid_posterior_1d(grid_x, log_prior, log_lik)

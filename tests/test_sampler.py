@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from novelbayes.errors import NotPositiveDefinite
 from novelbayes.model import (
     GammaPrior,
     GaussianAtom,
@@ -14,9 +15,11 @@ from novelbayes.model import (
 from novelbayes.robust import RobustClassSummary
 from novelbayes.sampler import (
     ChainOutput,
+    GaussianFamily,
     TestDataset,
     _initial_state,
     _sample_allocations,
+    _sq_mahalanobis_rows,
     gibbs_step,
     niw_posterior,
     run_chain,
@@ -128,6 +131,16 @@ class TestSampleNiw:
                           for _ in range(100)])
         assert np.abs(draws - m).max() < 1e-3
 
+    def test_non_spd_scale_is_a_numerical_error(self):
+        params = NIWParams(np.zeros(2), 1.0, 5.0, -np.eye(2))
+        with pytest.raises(NotPositiveDefinite):
+            sample_niw(params, np.random.default_rng(0))
+
+
+def test_start_distance_with_non_spd_scatter_is_a_numerical_error():
+    with pytest.raises(NotPositiveDefinite):
+        _sq_mahalanobis_rows(np.ones((3, 2)), np.zeros(2), -np.eye(2))
+
 
 class TestUpdateGamma:
     def test_fixed_mode_passthrough(self):
@@ -200,10 +213,11 @@ class TestGibbsStep:
                                       rng.normal(9, 1, (5, 2))]))
         priors = [_summary([0.0, 0.0], np.eye(2))]
         hp = _hyper([20], 2, seed=14)
-        state = _initial_state(data, hp, priors)
+        family = GaussianFamily(data, priors, hp)
+        state = _initial_state(family, hp)
         crng = np.random.default_rng(3)
         for _ in range(50):
-            state = gibbs_step(state, data, hp, priors, crng)
+            state = gibbs_step(state, family, hp, crng)
             zeta = alpha_beta_to_zeta(state.alpha, state.beta, 1)
             xi = xi_values(hp.kappa, 1, int(zeta.max()))
             assert np.all(state.u < xi[zeta - 1])
