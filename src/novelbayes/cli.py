@@ -84,19 +84,24 @@ def _base_measure(cfg, p: int) -> NIWParams:
                      _get(cfg, "s0-scale", float, 10.0) * np.eye(p))
 
 
-def _hyper(cfg, class_sizes, p: int) -> Hyperparameters:
-    return Hyperparameters.with_class_weights(
+def _chain_settings(settings_cls, cfg, class_sizes, n_iter: int, n_burnin: int, **own):
+    """Settings of either chain: the flags both fit commands share, with the
+    command's own scan-count defaults, plus the model's own fields."""
+    return settings_cls.with_class_weights(
         class_sizes,
         a0=_get(cfg, "a0", float, 0.1),
-        lambda_tr=_get(cfg, "lambda-tr", float, 10.0),
-        nu_tr=_get(cfg, "nu-tr", float, float(max(p + 2, 10))),
-        base_measure=_base_measure(cfg, p),
         gamma=_gamma_from(cfg),
         kappa=_get(cfg, "kappa", float, 0.5),
-        n_iter=_get(cfg, "n-iter", int, 20000),
-        n_burnin=_get(cfg, "n-burnin", int, 10000),
+        n_iter=_get(cfg, "n-iter", int, n_iter),
+        n_burnin=_get(cfg, "n-burnin", int, n_burnin),
         seed=_get(cfg, "seed", int, 0),
-    )
+        **own)
+
+
+def _summarize(cfg, output):
+    return summarize(output,
+                     ppn_threshold=_get(cfg, "ppn-threshold", float, 0.5),
+                     min_size=_get(cfg, "min-size", int, None))
 
 
 # ---------------------------------------------------------------------------
@@ -153,16 +158,17 @@ def _cmd_fit(args) -> int:
     header = str(cfg.get("header", "false")).lower() == "true"
     train = nio.load_multivariate(cfg["train"], has_labels=True, has_header=header)
     test = nio.load_multivariate(cfg["test"], has_labels=False, has_header=header)
-    hp = _hyper(cfg, train.class_sizes, train.dim)
+    hp = _chain_settings(
+        Hyperparameters, cfg, train.class_sizes, 20000, 10000,
+        lambda_tr=_get(cfg, "lambda-tr", float, 10.0),
+        nu_tr=_get(cfg, "nu-tr", float, float(max(train.dim + 2, 10))),
+        base_measure=_base_measure(cfg, train.dim))
 
     def run():
         priors = extract_class_priors(train, _mcd_config(cfg))
         nio.summaries_to_json(priors, outdir / "priors.json")
         output = run_chain(test, priors, hp)
-        summary = summarize(output,
-                            ppn_threshold=_get(cfg, "ppn-threshold", float, 0.5),
-                            min_size=_get(cfg, "min-size", int, None))
-        return output, summary
+        return output, _summarize(cfg, output)
 
     _fit_common(cfg, outdir, run,
                 {"train": cfg["train"], "test": cfg["test"]}, hp.seed)
@@ -182,19 +188,13 @@ def _cmd_fit_functional(args) -> int:
     test = nio.load_curves(cfg["test"], layout=layout)
     basis = BasisSpec(n_basis=_get(cfg, "n-basis", int, 100),
                       order=_get(cfg, "order", int, 5))
-    sizes = np.bincount(train.labels)[1:]
-    hyper = FunctionalHyper(
-        a=np.concatenate([[_get(cfg, "a0", float, 0.1)], sizes / sizes.sum()]),
+    hyper = _chain_settings(
+        FunctionalHyper, cfg, np.bincount(train.labels)[1:], 10000, 5000,
         a_tau=_get(cfg, "a-tau", float, 3.0),
         b_tau=_get(cfg, "b-tau", float, 1.0),
         s2=_get(cfg, "s2", float, 1.0),
         a_H=_get(cfg, "a-h", float, 5.0),
         b_H=_get(cfg, "b-h", float, 1.0),
-        gamma=_gamma_from(cfg),
-        kappa=_get(cfg, "kappa", float, 0.5),
-        n_iter=_get(cfg, "n-iter", int, 10000),
-        n_burnin=_get(cfg, "n-burnin", int, 5000),
-        seed=_get(cfg, "seed", int, 0),
         basis=basis)
 
     def run():
@@ -202,9 +202,7 @@ def _cmd_fit_functional(args) -> int:
             train, basis, _mcd_config(cfg),
             phi=_get(cfg, "phi", float, 0.0), v=_get(cfg, "v", float, 0.0))
         output = run_functional_chain(test, priors, hyper)
-        summary = summarize(output,
-                            ppn_threshold=_get(cfg, "ppn-threshold", float, 0.5),
-                            min_size=_get(cfg, "min-size", int, None))
+        summary = _summarize(cfg, output)
         # per-cluster mean curves for the novelty partition
         _write_cluster_means(outdir, test, summary)
         return output, summary
@@ -234,10 +232,7 @@ def _cmd_summarize(args) -> int:
     if not chain_dir:
         print("summarize requires --chain-dir", file=sys.stderr)
         return USAGE_EXIT
-    output = nio.load_chain(chain_dir)
-    summary = summarize(output,
-                        ppn_threshold=_get(cfg, "ppn-threshold", float, 0.5),
-                        min_size=_get(cfg, "min-size", int, None))
+    summary = _summarize(cfg, nio.load_chain(chain_dir))
     dest = Path(cfg.get("outdir", Path(chain_dir).parent / "summary"))
     nio.save_summary(summary, dest)
     print(f"summary written to {dest}")

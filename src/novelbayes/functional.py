@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import DimensionMismatch, GridMismatch, InvalidKnots, RankDeficientBasis
-from .model import GammaPrior, _chol
+from .model import ChainSettings, _chol
 from .robust import LabeledDataset, McdConfig, extract_class_priors
 from .sampler import ChainOutput, _run_gibbs
 
@@ -133,43 +133,24 @@ class FunctionalNovelAtom:
                 "tau2": float(self.tau2), "sigma2": self.sigma2.tolist()}
 
 
-@dataclass
-class FunctionalHyper:
-    """Hyperparameters of the functional model plus MCMC controls."""
+@dataclass(kw_only=True)
+class FunctionalHyper(ChainSettings):
+    """Settings of the functional chain: the hierarchy of the novelty
+    coefficients (IG(a_tau, b_tau) variance, N(0, s2) level), the IG(a_H,
+    b_H) pointwise noise of novelty atoms, and the spline basis."""
 
-    a: np.ndarray
     a_tau: float = 3.0
     b_tau: float = 1.0
     s2: float = 1.0
     a_H: float = 5.0
     b_H: float = 1.0
-    gamma: Union[float, GammaPrior] = field(default_factory=GammaPrior)
-    kappa: float = 0.5
-    n_iter: int = 2000
-    n_burnin: int = 1000
-    seed: int = 0
     basis: BasisSpec = field(default_factory=BasisSpec)
-    atom_thin: int = 10
 
     def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=float).ravel()
-        if np.any(self.a <= 0):
-            raise ValueError("all Dirichlet weights must be positive")
+        super().__post_init__()
         for name in ("a_tau", "b_tau", "s2", "a_H", "b_H"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.kappa < 1.0:
-            raise ValueError("kappa must lie in (0, 1)")
-        if self.n_iter <= self.n_burnin:
-            raise ValueError("n_iter must exceed n_burnin")
-
-    @property
-    def n_known(self) -> int:
-        return self.a.size - 1
-
-    @property
-    def gamma_is_random(self) -> bool:
-        return isinstance(self.gamma, GammaPrior)
 
 
 # ---------------------------------------------------------------------------

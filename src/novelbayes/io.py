@@ -277,18 +277,19 @@ def read_config(path) -> dict:
 # public dataset fetcher (not bundled; provenance + checksum)
 # ---------------------------------------------------------------------------
 
-def fetch_dataset(name: str, dest, expected_sha256: Optional[str] = None) -> Path:
+def fetch_dataset(name: str, dest) -> Path:
     """Download a public benchmark table to ``dest`` and verify its digest.
 
     Files are never bundled with the package; this helper documents their
-    origin and, when a digest is known, refuses silently corrupted copies.
-    An existing file at ``dest`` is verified and reused without network.
+    origin and, when ``DATASET_SOURCES`` pins a digest, refuses silently
+    corrupted copies.  An existing file at ``dest`` is verified and reused
+    without network.
     """
     if name not in DATASET_SOURCES:
         raise ValueError(f"unknown dataset {name!r}; known: {sorted(DATASET_SOURCES)}")
     source = DATASET_SOURCES[name]
     dest = Path(dest)
-    digest = expected_sha256 or source["sha256"]
+    digest = source["sha256"]
     if not dest.exists():
         dest.parent.mkdir(parents=True, exist_ok=True)
         with urllib.request.urlopen(source["url"], timeout=60) as resp:

@@ -106,43 +106,43 @@ class GammaPrior:
         return self.shape / self.rate
 
 
-@dataclass
-class Hyperparameters:
-    """All constants of the test-set mixture model plus MCMC controls.
+_FREEZE_THRESHOLD = 1e5  # lambda_tr and nu_tr at or above it freeze known atoms
+
+
+@dataclass(kw_only=True)
+class ChainSettings:
+    """What the shared Gibbs driver reads; each model's settings extend it.
 
     ``a`` holds the Dirichlet weights (a_0, a_1, ..., a_J); a_0 is the prior
-    weight of the novelty component.  ``lambda_tr`` / ``nu_tr`` control how
-    tightly the known-class atoms are tied to the robust training estimates;
-    values above ``freeze_threshold`` freeze them entirely (inductive mode).
-    ``gamma`` is either a fixed DP concentration or a GammaPrior to be
-    resampled along the chain.  ``kappa`` sets the decay of the deterministic
-    slice sequence.
+    weight of the novelty component.  ``gamma`` is either a fixed DP
+    concentration or a GammaPrior to be resampled along the chain.
+    ``kappa`` sets the decay of the deterministic slice sequence.  The chain
+    runs ``n_iter`` scans from ``seed``, keeps those after ``n_burnin``, and
+    snapshots the atoms every ``atom_thin`` retained scans.
     """
 
     a: np.ndarray
-    lambda_tr: float
-    nu_tr: float
-    base_measure: NIWParams
     gamma: Union[float, GammaPrior] = field(default_factory=GammaPrior)
     kappa: float = 0.5
     n_iter: int = 2000
     n_burnin: int = 1000
     seed: int = 0
-    freeze_threshold: float = 1e5
     atom_thin: int = 10
 
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=float).ravel()
         if np.any(self.a <= 0):
             raise ValueError("all Dirichlet weights a_j must be positive")
-        if self.lambda_tr <= 0:
-            raise ValueError("lambda_tr must be positive")
         if not 0.0 < self.kappa < 1.0:
             raise ValueError("kappa must lie in (0, 1)")
-        if isinstance(self.gamma, (int, float)) and self.gamma <= 0:
+        if not (self.gamma_is_random or self.gamma > 0):
             raise ValueError("fixed gamma must be positive")
+        if self.n_burnin < 0:
+            raise ValueError("n_burnin must be non-negative")
         if self.n_iter <= self.n_burnin:
             raise ValueError("n_iter must exceed n_burnin")
+        if self.atom_thin < 1:
+            raise ValueError("atom_thin must be at least 1")
 
     @property
     def n_known(self) -> int:
@@ -152,16 +152,36 @@ class Hyperparameters:
     def gamma_is_random(self) -> bool:
         return isinstance(self.gamma, GammaPrior)
 
-    @property
-    def frozen_known_atoms(self) -> bool:
-        return min(self.lambda_tr, self.nu_tr) >= self.freeze_threshold
-
     @classmethod
-    def with_class_weights(cls, class_sizes, a0: float = 0.1, **kwargs) -> "Hyperparameters":
+    def with_class_weights(cls, class_sizes, a0: float = 0.1, **kwargs):
         """Build weights a_j = n_j / N for observed classes, novelty weight a0."""
         sizes = np.asarray(class_sizes, dtype=float)
         a = np.concatenate([[a0], sizes / sizes.sum()])
         return cls(a=a, **kwargs)
+
+
+@dataclass(kw_only=True)
+class Hyperparameters(ChainSettings):
+    """Settings of the multivariate chain.
+
+    ``lambda_tr`` / ``nu_tr`` control how tightly the known-class atoms are
+    tied to the robust training estimates; when both reach
+    ``_FREEZE_THRESHOLD`` (1e5) the atoms are frozen at those estimates
+    (inductive mode).  ``base_measure`` is the NIW law of the novelty atoms.
+    """
+
+    lambda_tr: float
+    nu_tr: float
+    base_measure: NIWParams
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.lambda_tr <= 0:
+            raise ValueError("lambda_tr must be positive")
+
+    @property
+    def frozen_known_atoms(self) -> bool:
+        return min(self.lambda_tr, self.nu_tr) >= _FREEZE_THRESHOLD
 
 
 # ---------------------------------------------------------------------------
@@ -264,25 +284,27 @@ def _chol(cov: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite("covariance is not positive definite") from exc
 
 
+def _mahalanobis_chol(X: np.ndarray, mean: np.ndarray, cov: np.ndarray):
+    """Squared Mahalanobis distance of every row of X from ``mean`` under
+    ``cov``, and the Cholesky factor of ``cov``."""
+    L = _chol(cov)
+    Z = solve_triangular(L, (X - mean).T, lower=True)
+    return np.sum(Z * Z, axis=0), L
+
+
 def log_gaussian_density(x: np.ndarray, atom: GaussianAtom) -> float:
-    """log N(x; mean, cov) evaluated via a Cholesky solve."""
-    x = np.asarray(x, dtype=float).ravel()
-    p = x.size
-    L = _chol(atom.cov)
-    z = solve_triangular(L, x - atom.mean, lower=True)
-    logdet = 2.0 * np.sum(np.log(np.diag(L)))
-    return float(-0.5 * (p * LOG_2PI + logdet + z @ z))
+    """log N(x; mean, cov) for one point: the one-row case of
+    :func:`log_gaussian_density_many`."""
+    return float(log_gaussian_density_many(np.ravel(x), atom.mean, atom.cov)[0])
 
 
 def log_gaussian_density_many(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Row-wise log N(x_m; mean, cov) for a whole data matrix."""
+    """Row-wise log N(x_m; mean, cov) for a whole data matrix, via a
+    Cholesky solve."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    p = X.shape[1]
-    L = _chol(cov)
-    Z = solve_triangular(L, (X - mean).T, lower=True)
+    quad, L = _mahalanobis_chol(X, mean, cov)
     logdet = 2.0 * np.sum(np.log(np.diag(L)))
-    quad = np.sum(Z * Z, axis=0)
-    return -0.5 * (p * LOG_2PI + logdet + quad)
+    return -0.5 * (X.shape[1] * LOG_2PI + logdet + quad)
 
 
 # ---------------------------------------------------------------------------

@@ -241,7 +241,6 @@ def summarize(output: ChainOutput, ppn_threshold: float = 0.5,
         P = coclustering(output.beta_trace, units)
         cands = candidate_partitions(output.beta_trace, units)
         part = best_partition_vi(P, cands)
-        part = np.asarray(_canonical(part), dtype=int)
         flags = flag_anomalies(part, min_size)
     else:
         P = np.zeros((0, 0))

@@ -19,11 +19,14 @@ from scipy.stats import chi2
 from .errors import (
     DegenerateData,
     InsufficientRows,
+    NotPositiveDefinite,
     NumericalError,
     SingularSubset,
 )
+from .model import _mahalanobis_chol
 
 _DET_TOL = 1e-9  # relative slack when checking the C-step descent property
+_MAX_CONDITION = 1000.0  # bound on the condition number of an MRCD scatter
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +79,9 @@ class McdConfig:
 
     ``eta`` is the untrimmed fraction; ``eta_overrides`` allows a different
     fraction for specific classes while everything else shares ``eta``.
-    ``max_condition`` bounds the condition number of the regularized scatter
-    (regularized branch only) and ``rho_grid_step`` spaces the shrinkage
-    grid searched for the smallest admissible weight.
+    ``rho_grid_step`` spaces the shrinkage grid searched for the smallest
+    weight that keeps the regularized scatter's condition number at or
+    below ``_MAX_CONDITION`` (1000; regularized branch only).
     """
 
     eta: float = 0.75
@@ -86,7 +89,6 @@ class McdConfig:
     max_csteps: int = 100
     seed: int = 0
     eta_overrides: Optional[Mapping[int, float]] = None
-    max_condition: float = 1000.0
     rho_grid_step: float = 0.01
 
     def __post_init__(self):
@@ -183,11 +185,9 @@ def _subset_moments(X: np.ndarray, idx: np.ndarray):
 
 def _sq_mahalanobis(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     try:
-        L = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
+        return _mahalanobis_chol(X, mean, cov)[0]
+    except NotPositiveDefinite as exc:
         raise SingularSubset("subset covariance is singular") from exc
-    Z = solve_triangular(L, (X - mean).T, lower=True)
-    return np.sum(Z * Z, axis=0)
 
 
 def _smallest_h(dist: np.ndarray, h: int) -> np.ndarray:
@@ -344,7 +344,7 @@ def mrcd(data: np.ndarray, cfg: McdConfig,
     the h-subset chosen to minimize its determinant.  The search runs in the
     coordinates whitened by the target (default: diagonal of the full-sample
     covariance), where the target becomes the identity; rho is the smallest
-    grid value whose regularized scatter stays below ``cfg.max_condition``
+    grid value whose regularized scatter stays below ``_MAX_CONDITION``
     in condition number, bumped upward if the optimized subset violates the
     bound.  Applicable whenever n >= 2, including p >= h.
     """
@@ -385,7 +385,7 @@ def mrcd(data: np.ndarray, cfg: McdConfig,
     grid = np.round(np.arange(cfg.rho_grid_step, 1.0 + 1e-12, cfg.rho_grid_step), 10)
     start_pos = 0
     for start_pos, rho in enumerate(grid):
-        if _condition_number(_regularized(cov0, rho, c0, p)) <= cfg.max_condition:
+        if _condition_number(_regularized(cov0, rho, c0, p)) <= _MAX_CONDITION:
             break
 
     starts = [idx0] + [np.sort(rng.choice(n, size=h, replace=False))
@@ -400,7 +400,7 @@ def mrcd(data: np.ndarray, cfg: McdConfig,
                 best = out
         idx, mean_w, K, logdet_w = best
         cond = _condition_number(K)
-        if cond <= cfg.max_condition:
+        if cond <= _MAX_CONDITION:
             mean = C @ mean_w
             scatter = C @ K @ C.T
             scatter = 0.5 * (scatter + scatter.T)

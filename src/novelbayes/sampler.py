@@ -23,9 +23,9 @@ as ``data`` (one row per unit) and provides
 - ``snapshot(known, novel)``: the atoms as a JSON-ready dict.
 
 :class:`GaussianFamily` below serves the multivariate model; the curve
-family lives in :mod:`novelbayes.functional`.  The hyperparameters are duck
-typed: the loop reads ``a``, ``n_known``, ``kappa``, ``gamma``,
-``gamma_is_random``, ``n_iter``, ``n_burnin``, ``seed`` and ``atom_thin``.
+family lives in :mod:`novelbayes.functional`.  The driver reads its settings
+from a :class:`~novelbayes.model.ChainSettings`, which the settings of both
+models extend.
 """
 
 from __future__ import annotations
@@ -39,10 +39,12 @@ from scipy.linalg import solve_triangular
 
 from .errors import AllSlicesEmpty, DimensionMismatch
 from .model import (
+    ChainSettings,
     GaussianAtom,
     Hyperparameters,
     NIWParams,
     _chol,
+    _mahalanobis_chol,
     alpha_beta_to_zeta,
     log_gaussian_density_many,
     stick_breaking,
@@ -80,7 +82,6 @@ class ChainState:
 
     pi: np.ndarray
     v: np.ndarray
-    omega: np.ndarray
     known_atoms: list
     novel_atoms: list
     alpha: np.ndarray
@@ -204,14 +205,11 @@ def update_gamma(current: float, n_novel: int, k_novel: int,
 # allocation machinery
 # ---------------------------------------------------------------------------
 
-def _sq_mahalanobis_rows(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    L = _chol(cov)
-    Z = solve_triangular(L, (X - mean).T, lower=True)
-    return np.sum(Z * Z, axis=0)
+_SWAP_SWEEPS = 3  # passes over the adjacent pairs per label-swap sweep
 
 
 def _label_swap_sweep(beta: np.ndarray, atoms: list, v: np.ndarray,
-                      rng: np.random.Generator, n_sweeps: int = 3):
+                      rng: np.random.Generator):
     """Metropolis swaps of adjacent novelty labels; each cluster moves with
     its atom, its members, and its stick fraction.
 
@@ -232,7 +230,7 @@ def _label_swap_sweep(beta: np.ndarray, atoms: list, v: np.ndarray,
     top = int(occupied.max()) + 1
     with np.errstate(divide="ignore"):
         log1mv = np.log1p(-v)
-    for _ in range(n_sweeps):
+    for _ in range(_SWAP_SWEEPS):
         moved = False
         for k in range(min(top, K - 1)):
             n1, n2 = counts[k], counts[k + 1]
@@ -310,7 +308,7 @@ class GaussianFamily:
         return [GaussianAtom(s.mean, s.scatter) for s in self.priors]
 
     def start_distances(self):
-        d2 = np.column_stack([_sq_mahalanobis_rows(self.data, s.mean, s.scatter)
+        d2 = np.column_stack([_mahalanobis_chol(self.data, s.mean, s.scatter)[0]
                               for s in self.priors])
         return d2, self.data.shape[1]
 
@@ -336,7 +334,8 @@ class GaussianFamily:
 # one Gibbs iteration
 # ---------------------------------------------------------------------------
 
-def gibbs_step(state: ChainState, family, hp, rng: np.random.Generator) -> ChainState:
+def gibbs_step(state: ChainState, family, hp: ChainSettings,
+               rng: np.random.Generator) -> ChainState:
     """Advance the chain by one full scan.
 
     Step order: slice variables, truncation level, mixture weights, sticks,
@@ -369,10 +368,9 @@ def gibbs_step(state: ChainState, family, hp, rng: np.random.Generator) -> Chain
     n_k, g_k = _stick_posterior_counts(state.beta, K) if M \
         else (np.zeros(K, dtype=int), np.zeros(K, dtype=int))
     v = rng.beta(1.0 + n_k, state.gamma + g_k)
-    omega = stick_breaking(v)
 
     # 6. one-line weights over the L active components
-    pitilde = np.concatenate([pi[1:], pi[0] * omega])
+    pitilde = np.concatenate([pi[1:], pi[0] * stick_breaking(v)])
 
     # 7-8. known-class atoms, then novelty atoms, each from its members
     known = [family.draw_known(j, np.flatnonzero(state.alpha == j + 1), atom, rng)
@@ -399,7 +397,7 @@ def gibbs_step(state: ChainState, family, hp, rng: np.random.Generator) -> Chain
         gamma = update_gamma(gamma, n_novel, k_novel,
                              hp.gamma.shape, hp.gamma.rate, rng)
 
-    return ChainState(pi=pi, v=v, omega=omega, known_atoms=known,
+    return ChainState(pi=pi, v=v, known_atoms=known,
                       novel_atoms=novel, alpha=alpha, beta=beta, u=u,
                       L_star=L, gamma=gamma)
 
@@ -408,7 +406,7 @@ def gibbs_step(state: ChainState, family, hp, rng: np.random.Generator) -> Chain
 # full chain
 # ---------------------------------------------------------------------------
 
-def _initial_state(family, hp) -> ChainState:
+def _initial_state(family, hp: ChainSettings) -> ChainState:
     """Deterministic start: each unit joins its closest known class unless it
     is implausibly far from all of them, in which case it starts as novelty.
 
@@ -432,12 +430,12 @@ def _initial_state(family, hp) -> ChainState:
         beta[far] = 1 + np.arange(int(np.sum(far)))
     gamma = hp.gamma.mean if hp.gamma_is_random else float(hp.gamma)
     return ChainState(
-        pi=hp.a / hp.a.sum(), v=np.zeros(0), omega=np.zeros(0),
+        pi=hp.a / hp.a.sum(), v=np.zeros(0),
         known_atoms=family.initial_known(), novel_atoms=[], alpha=alpha,
         beta=beta, u=np.zeros(M), L_star=hp.n_known + 1, gamma=gamma)
 
 
-def _run_gibbs(family, hp, record_atoms: bool, **meta) -> ChainOutput:
+def _run_gibbs(family, hp: ChainSettings, record_atoms: bool, **meta) -> ChainOutput:
     """Run ``hp.n_iter`` scans from the chi-square start; keep the scans
     after ``hp.n_burnin`` and, when ``record_atoms`` is set, an atom
     snapshot every ``hp.atom_thin`` retained scans.  ``meta`` is added to
@@ -456,8 +454,6 @@ def _run_gibbs(family, hp, record_atoms: bool, **meta) -> ChainOutput:
     snapshots = [] if record_atoms else None
 
     for it in range(hp.n_iter):
-        # sticks/atoms are redrawn inside the step, so the stale omega left
-        # behind by the swap is never read
         state.beta, state.novel_atoms, state.v = _label_swap_sweep(
             state.beta, state.novel_atoms, state.v, rng)
         state = gibbs_step(state, family, hp, rng)

@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import novelbayes.io as nio
 from novelbayes.cli import main
+from novelbayes.functional import CurveSet
 
 
 def run_cli(*argv):
@@ -95,21 +97,22 @@ class TestExtractPriors:
         assert len(doc["classes"]) == 3
 
 
+def _write_curve_files(directory):
+    rng = np.random.default_rng(0)
+    grid = np.linspace(0, 1, 25)
+    known = np.sin(2 * np.pi * grid)
+    novel = 3 + np.cos(2 * np.pi * grid)
+    train = CurveSet(grid, known + rng.normal(0, 0.1, (6, 25)),
+                     labels=np.ones(6, dtype=int))
+    test = CurveSet(grid, np.vstack([known + rng.normal(0, 0.1, (6, 25)),
+                                     novel + rng.normal(0, 0.1, (4, 25))]))
+    nio.write_curves(directory / "train.csv", train)
+    nio.write_curves(directory / "test.csv", test)
+
+
 class TestFunctionalPipeline:
     def test_end_to_end(self, tmp_path):
-        rng = np.random.default_rng(0)
-        grid = np.linspace(0, 1, 25)
-        known = np.sin(2 * np.pi * grid)
-        novel = 3 + np.cos(2 * np.pi * grid)
-        import novelbayes.io as nio
-        from novelbayes.functional import CurveSet
-
-        train = CurveSet(grid, known + rng.normal(0, 0.1, (6, 25)),
-                         labels=np.ones(6, dtype=int))
-        test = CurveSet(grid, np.vstack([known + rng.normal(0, 0.1, (6, 25)),
-                                         novel + rng.normal(0, 0.1, (4, 25))]))
-        nio.write_curves(tmp_path / "train.csv", train)
-        nio.write_curves(tmp_path / "test.csv", test)
+        _write_curve_files(tmp_path)
         out = tmp_path / "frun"
         code = run_cli("fit-functional", "--train", str(tmp_path / "train.csv"),
                        "--test", str(tmp_path / "test.csv"), "--outdir", str(out),
@@ -137,6 +140,25 @@ class TestErrorPaths:
 
     def test_fit_without_inputs_is_usage_error(self, tmp_path):
         assert run_cli("fit", "--outdir", str(tmp_path)) == 1
+
+    def test_negative_burnin_stops_before_stage_one(self, sim_dir, tmp_path, capsys):
+        out = tmp_path / "neg"
+        code = run_cli("fit", "--train", str(sim_dir / "train.csv"),
+                       "--test", str(sim_dir / "test.csv"), "--outdir", str(out),
+                       "--n-starts", "20", "--n-iter", "3", "--n-burnin", "-2")
+        assert code == 2
+        assert "n_burnin" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_functional_zero_gamma_is_data_error(self, tmp_path, capsys):
+        _write_curve_files(tmp_path)
+        out = tmp_path / "frun"
+        code = run_cli("fit-functional", "--train", str(tmp_path / "train.csv"),
+                       "--test", str(tmp_path / "test.csv"), "--outdir", str(out),
+                       "--n-basis", "8", "--order", "3", "--gamma-fixed", "0")
+        assert code == 2
+        assert "gamma" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_data_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

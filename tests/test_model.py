@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from novelbayes.errors import EmptySlice, NotPositiveDefinite
+from novelbayes.functional import FunctionalHyper
 from novelbayes.model import (
     GaussianAtom,
+    Hyperparameters,
+    NIWParams,
     PriorMoments,
     alpha_beta_to_zeta,
     log_gaussian_density,
@@ -163,6 +166,31 @@ class TestLogGaussian:
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefinite):
             log_gaussian_density(np.zeros(2), GaussianAtom(np.zeros(2), -np.eye(2)))
+
+
+def _settings(cls, **kw):
+    own = {}
+    if cls is Hyperparameters:
+        own = dict(lambda_tr=10.0, nu_tr=10.0,
+                   base_measure=NIWParams(np.zeros(2), 0.01, 6.0, np.eye(2)))
+    return cls(a=np.array([0.1, 0.4, 0.6]), **own, **kw)
+
+
+class TestChainSettings:
+    @pytest.mark.parametrize("gamma", [0.0, -1.0])
+    def test_functional_fixed_gamma_must_be_positive(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            _settings(FunctionalHyper, gamma=gamma)
+
+    @pytest.mark.parametrize("cls", [Hyperparameters, FunctionalHyper])
+    def test_negative_burnin_rejected(self, cls):
+        with pytest.raises(ValueError, match="n_burnin"):
+            _settings(cls, n_iter=3, n_burnin=-2)
+
+    @pytest.mark.parametrize("cls", [Hyperparameters, FunctionalHyper])
+    def test_zero_atom_thin_rejected(self, cls):
+        with pytest.raises(ValueError, match="atom_thin"):
+            _settings(cls, atom_thin=0)
 
 
 class TestPriorMoments:

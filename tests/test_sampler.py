@@ -19,7 +19,6 @@ from novelbayes.sampler import (
     TestDataset,
     _initial_state,
     _sample_allocations,
-    _sq_mahalanobis_rows,
     gibbs_step,
     niw_posterior,
     run_chain,
@@ -138,8 +137,10 @@ class TestSampleNiw:
 
 
 def test_start_distance_with_non_spd_scatter_is_a_numerical_error():
+    family = GaussianFamily(TestDataset(np.ones((3, 2))),
+                            [_summary(np.zeros(2), -np.eye(2))], _hyper([5], 2))
     with pytest.raises(NotPositiveDefinite):
-        _sq_mahalanobis_rows(np.ones((3, 2)), np.zeros(2), -np.eye(2))
+        family.start_distances()
 
 
 class TestUpdateGamma:
