@@ -163,9 +163,10 @@ def _cmd_fit(args) -> int:
         lambda_tr=_get(cfg, "lambda-tr", float, 10.0),
         nu_tr=_get(cfg, "nu-tr", float, float(max(train.dim + 2, 10))),
         base_measure=_base_measure(cfg, train.dim))
+    mcd = _mcd_config(cfg)
 
     def run():
-        priors = extract_class_priors(train, _mcd_config(cfg))
+        priors = extract_class_priors(train, mcd)
         nio.summaries_to_json(priors, outdir / "priors.json")
         output = run_chain(test, priors, hp)
         return output, _summarize(cfg, output)
@@ -196,11 +197,13 @@ def _cmd_fit_functional(args) -> int:
         a_H=_get(cfg, "a-h", float, 5.0),
         b_H=_get(cfg, "b-h", float, 1.0),
         basis=basis)
+    mcd = _mcd_config(cfg)
+    phi, v = _get(cfg, "phi", float, 0.0), _get(cfg, "v", float, 0.0)
+    if min(phi, v) < 0:
+        raise ValueError("phi and v must be non-negative")
 
     def run():
-        priors = extract_functional_priors(
-            train, basis, _mcd_config(cfg),
-            phi=_get(cfg, "phi", float, 0.0), v=_get(cfg, "v", float, 0.0))
+        priors = extract_functional_priors(train, basis, mcd, phi=phi, v=v)
         output = run_functional_chain(test, priors, hyper)
         summary = _summarize(cfg, output)
         # per-cluster mean curves for the novelty partition

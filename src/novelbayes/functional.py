@@ -121,12 +121,14 @@ class FunctionalKnownPrior:
 @dataclass
 class FunctionalNovelAtom:
     """One novelty component: spline coefficients with their hierarchy and a
-    pointwise noise curve."""
+    pointwise noise curve.  ``curve`` is the fitted mean curve Phi @ rho on
+    the grid, kept so the chain computes it once per atom."""
 
     rho: np.ndarray
     psi: float
     tau2: float
     sigma2: np.ndarray
+    curve: np.ndarray = field(repr=False)
 
     def to_dict(self) -> dict:
         return {"rho": self.rho.tolist(), "psi": float(self.psi),
@@ -191,7 +193,8 @@ def bspline_basis(spec: BasisSpec, grid: np.ndarray) -> np.ndarray:
     return N
 
 
-def smooth_curves(curves: CurveSet, spec: BasisSpec) -> np.ndarray:
+def smooth_curves(curves: CurveSet, spec: BasisSpec,
+                  Phi: Optional[np.ndarray] = None) -> np.ndarray:
     """Least-squares spline coefficients, one row per curve.
 
     When the number of bases approaches the number of grid points the
@@ -199,10 +202,12 @@ def smooth_curves(curves: CurveSet, spec: BasisSpec) -> np.ndarray:
     boundaries; the minimum-norm solution is used, which leaves fitted
     values on the grid unaffected.  A basis function with no support on the
     grid at all means the specification cannot represent anything there.
+    ``Phi`` is the basis at the grid when the caller has already built it.
     """
     if curves.n_points < spec.n_basis:
         raise RankDeficientBasis("fewer grid points than basis functions")
-    Phi = bspline_basis(spec, curves.grid)
+    if Phi is None:
+        Phi = bspline_basis(spec, curves.grid)
     if np.any(np.max(np.abs(Phi), axis=0) == 0.0):
         raise RankDeficientBasis("a basis function has no support on the grid")
     coef, _, _, _ = np.linalg.lstsq(Phi, curves.values.T, rcond=None)
@@ -220,8 +225,8 @@ def extract_functional_priors(train: CurveSet, spec: BasisSpec, cfg: McdConfig,
     """
     if train.labels is None:
         raise ValueError("training curves must carry class labels")
-    coefs = smooth_curves(train, spec)
     Phi = bspline_basis(spec, train.grid)
+    coefs = smooth_curves(train, spec, Phi=Phi)
     summaries = extract_class_priors(LabeledDataset(coefs, train.labels), cfg)
     priors = []
     for j, summ in enumerate(summaries, start=1):
@@ -293,12 +298,13 @@ def _curve_loglik(Y: np.ndarray, f: np.ndarray, sigma2: np.ndarray) -> np.ndarra
     return const - 0.5 * (resid ** 2) @ (1.0 / sigma2)
 
 
-def _prior_novel_atom(rng, hyper: FunctionalHyper, B: int, T: int) -> FunctionalNovelAtom:
+def _prior_novel_atom(rng, hyper: FunctionalHyper, Phi: np.ndarray) -> FunctionalNovelAtom:
+    T, B = Phi.shape
     tau2 = float(_sample_ig(rng, hyper.a_tau, hyper.b_tau))
     psi = float(rng.normal(0.0, math.sqrt(hyper.s2)))
     rho = rng.normal(psi, math.sqrt(tau2), size=B)
     sigma2 = _sample_ig(rng, hyper.a_H, np.full(T, hyper.b_H))
-    return FunctionalNovelAtom(rho=rho, psi=psi, tau2=tau2, sigma2=sigma2)
+    return FunctionalNovelAtom(rho=rho, psi=psi, tau2=tau2, sigma2=sigma2, curve=Phi @ rho)
 
 
 class CurveFamily:
@@ -344,25 +350,29 @@ class CurveFamily:
 
     def draw_novel(self, members: np.ndarray, prev, rng) -> FunctionalNovelAtom:
         hyper, Phi = self.hyper, self.Phi
-        T, B = Phi.shape
         n = members.size
         if n == 0:
-            return _prior_novel_atom(rng, hyper, B, T)
+            return _prior_novel_atom(rng, hyper, Phi)
         if prev is None:
-            prev = _prior_novel_atom(rng, hyper, B, T)
+            prev = _prior_novel_atom(rng, hyper, Phi)
         Y = self.data[members]
         mean, Lp = coef_conditional(Y.sum(axis=0), n, Phi, prev.sigma2, prev.psi, prev.tau2)
-        rho = mean + solve_triangular(Lp.T, rng.standard_normal(B), lower=False)
+        rho = mean + solve_triangular(Lp.T, rng.standard_normal(Phi.shape[1]), lower=False)
         m_psi, v_psi = psi_conditional(rho, prev.tau2, hyper.s2)
         psi = float(rng.normal(m_psi, math.sqrt(v_psi)))
         tau2 = float(_sample_ig(rng, *tau2_conditional(rho, psi, hyper.a_tau, hyper.b_tau)))
-        sq = np.sum((Y - Phi @ rho) ** 2, axis=0)
+        curve = Phi @ rho
+        sq = np.sum((Y - curve) ** 2, axis=0)
         sigma2 = _sample_ig(rng, *sigma2_conditional(sq, n, hyper.a_H, hyper.b_H))
-        return FunctionalNovelAtom(rho=rho, psi=psi, tau2=tau2, sigma2=sigma2)
+        return FunctionalNovelAtom(rho=rho, psi=psi, tau2=tau2, sigma2=sigma2, curve=curve)
 
-    def loglik(self, known: list, novel: list) -> np.ndarray:
+    def loglik(self, known: list, novel: list, eligible: np.ndarray) -> np.ndarray:
+        """Every column in full; ``eligible`` is not used.  A row subset of
+        the ``resid**2 @ (1/sigma2)`` product is not bit-identical to those
+        rows of the full product (the BLAS blocks the rows), so computing
+        only the eligible rows would change the chain."""
         cols = [_curve_loglik(self.data, f, s2) for f, s2 in known]
-        cols += [_curve_loglik(self.data, self.Phi @ at.rho, at.sigma2) for at in novel]
+        cols += [_curve_loglik(self.data, at.curve, at.sigma2) for at in novel]
         return np.column_stack(cols)
 
     def snapshot(self, known: list, novel: list) -> dict:

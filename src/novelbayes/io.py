@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 import urllib.request
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 

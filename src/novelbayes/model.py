@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import EmptySlice, NotPositiveDefinite
 
@@ -52,6 +54,12 @@ class NIWParams:
     @property
     def dim(self) -> int:
         return self.mean.size
+
+    @cached_property
+    def scale_chol(self) -> np.ndarray:
+        """Lower Cholesky factor of ``scale_matrix``, computed on first use
+        (the parameters are not changed after construction)."""
+        return np.asarray_chkfinite(_chol(self.scale_matrix))
 
     def to_dict(self) -> dict:
         return {
@@ -284,12 +292,34 @@ def _chol(cov: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite("covariance is not positive definite") from exc
 
 
+def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.solve_triangular(L, B, lower=True)`` for float64
+    arrays, without the wrapper's per-call overhead.
+
+    Makes the LAPACK call the wrapper makes, so the result is bit-identical,
+    and raises the wrapper's error for a singular ``L``.  The wrapper also
+    rejects non-finite arrays (ValueError); callers check, with
+    ``np.asarray_chkfinite``, whichever of their inputs can be non-finite.
+    """
+    if L.flags.f_contiguous:  # also every 1 x 1 factor
+        x, info = dtrtrs(L, B, lower=1)
+    else:  # a C-ordered factor: solve the transposed upper system
+        x, info = dtrtrs(L.T, B, lower=0, trans=1)
+    if info > 0:
+        raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
+
+
 def _mahalanobis_chol(X: np.ndarray, mean: np.ndarray, cov: np.ndarray):
     """Squared Mahalanobis distance of every row of X from ``mean`` under
-    ``cov``, and the Cholesky factor of ``cov``."""
-    L = _chol(cov)
-    Z = solve_triangular(L, (X - mean).T, lower=True)
-    return np.sum(Z * Z, axis=0), L
+    ``cov``, and the Cholesky factor of ``cov``.  The rows of X are finite
+    (the data are checked when loaded); numpy passes a NaN or inf in ``cov``
+    through to the factor, so the factor and ``mean`` are checked here."""
+    L = np.asarray_chkfinite(_chol(cov))
+    Z = _solve_lower(L, (X - np.asarray_chkfinite(mean)).T)
+    return (Z * Z).sum(axis=0), L
 
 
 def log_gaussian_density(x: np.ndarray, atom: GaussianAtom) -> float:
@@ -303,7 +333,7 @@ def log_gaussian_density_many(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) 
     Cholesky solve."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     quad, L = _mahalanobis_chol(X, mean, cov)
-    logdet = 2.0 * np.sum(np.log(np.diag(L)))
+    logdet = 2.0 * np.log(L.diagonal()).sum()
     return -0.5 * (X.shape[1] * LOG_2PI + logdet + quad)
 
 

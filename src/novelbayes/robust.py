@@ -9,7 +9,7 @@ triples seed the informative priors of the second stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
 import numpy as np

@@ -18,8 +18,9 @@ as ``data`` (one row per unit) and provides
 - ``draw_known(j, members, prev, rng)`` and ``draw_novel(members, prev,
   rng)``: one slot's atom from the row indices of its members and the
   slot's previous atom (None for a novelty slot drawn for the first time);
-- ``loglik(known, novel)``: the (M, L) log-likelihood of every unit under
-  every atom;
+- ``loglik(known, novel, eligible)``: the (M, L) log-likelihood of every
+  unit under every atom.  Only the cells where ``eligible`` (u_m < xi_l)
+  holds are ever used, so a family may leave the others at -inf;
 - ``snapshot(known, novel)``: the atoms as a JSON-ready dict.
 
 :class:`GaussianFamily` below serves the multivariate model; the curve
@@ -32,10 +33,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import AllSlicesEmpty, DimensionMismatch
 from .model import (
@@ -43,8 +44,8 @@ from .model import (
     GaussianAtom,
     Hyperparameters,
     NIWParams,
-    _chol,
     _mahalanobis_chol,
+    _solve_lower,
     alpha_beta_to_zeta,
     log_gaussian_density_many,
     stick_breaking,
@@ -158,6 +159,13 @@ def niw_posterior(prior: NIWParams, obs: np.ndarray) -> NIWParams:
     return NIWParams(mean, lam_n, prior.dof + n, scale)
 
 
+@cache
+def _bartlett_index(p: int):
+    """Degree-of-freedom offsets, diagonal and strict lower-triangle indices
+    of a p x p Bartlett factor."""
+    return np.arange(p), np.diag_indices(p), np.tril_indices(p, -1)
+
+
 def sample_niw(params: NIWParams, rng: np.random.Generator) -> GaussianAtom:
     """Draw (mean, cov) with cov ~ inverse-Wishart(nu, S), mean ~ N(m, cov/lambda).
 
@@ -165,13 +173,14 @@ def sample_niw(params: NIWParams, rng: np.random.Generator) -> GaussianAtom:
     is SPD by construction and E[cov] = S / (nu - p - 1).
     """
     p = params.dim
-    C = _chol(params.scale_matrix)
+    C = params.scale_chol
+    offsets, diag, tril = _bartlett_index(p)
     A = np.zeros((p, p))
-    A[np.diag_indices(p)] = np.sqrt(rng.chisquare(params.dof - np.arange(p)))
+    A[diag] = np.sqrt(rng.chisquare(params.dof - offsets))
     if p > 1:
-        A[np.tril_indices(p, -1)] = rng.standard_normal(p * (p - 1) // 2)
+        A[tril] = rng.standard_normal(p * (p - 1) // 2)
     # cov = C (A A^T)^{-1} C^T
-    M = solve_triangular(A, C.T, lower=True).T
+    M = _solve_lower(A, C.T).T
     cov = M @ M.T
     cov = 0.5 * (cov + cov.T)
     mean = params.mean + (M @ rng.standard_normal(p)) / math.sqrt(params.precision_scale)
@@ -267,6 +276,13 @@ def _sample_allocations(rng, log_lik, weights, u, xi) -> np.ndarray:
     return np.argmax(logits + rng.gumbel(size=logits.shape), axis=1) + 1
 
 
+def _members(labels: np.ndarray, n: int) -> list:
+    """Increasing row indices of each label 1..n, from one stable sort."""
+    order = np.argsort(labels, kind="stable")
+    bounds = np.cumsum(np.bincount(labels, minlength=n + 1))
+    return np.split(order, bounds[:n])[1:]
+
+
 def _stick_posterior_counts(beta: np.ndarray, n_sticks: int):
     counts = np.bincount(beta[beta > 0], minlength=n_sticks + 1)[1:n_sticks + 1]
     greater = counts[::-1].cumsum()[::-1] - counts
@@ -318,12 +334,24 @@ class GaussianFamily:
         return sample_niw(niw_posterior(self.known_niw[j], self.data[members]), rng)
 
     def draw_novel(self, members: np.ndarray, prev, rng) -> GaussianAtom:
-        # unoccupied slots are fresh draws from the base measure
+        if members.size == 0:  # an unoccupied slot is a fresh base-measure draw
+            return sample_niw(self.base_measure, rng)
         return sample_niw(niw_posterior(self.base_measure, self.data[members]), rng)
 
-    def loglik(self, known: list, novel: list) -> np.ndarray:
-        return np.column_stack([log_gaussian_density_many(self.data, a.mean, a.cov)
-                                for a in known + novel])
+    def loglik(self, known: list, novel: list, eligible: np.ndarray) -> np.ndarray:
+        """Densities on the eligible cells, -inf elsewhere.  A column with
+        one eligible row is computed in full: a one-row solve can differ in
+        the last bits from that row of a many-row solve, while any subset of
+        two or more rows reproduces it exactly."""
+        M = self.data.shape[0]
+        out = np.full(eligible.shape, -np.inf)
+        for l, atom in enumerate(known + novel):
+            rows = np.flatnonzero(eligible[:, l])
+            if rows.size in (1, M):
+                out[rows, l] = log_gaussian_density_many(self.data, atom.mean, atom.cov)[rows]
+            elif rows.size:
+                out[rows, l] = log_gaussian_density_many(self.data[rows], atom.mean, atom.cov)
+        return out
 
     def snapshot(self, known: list, novel: list) -> dict:
         return {"known": [a.to_dict() for a in known],
@@ -373,17 +401,19 @@ def gibbs_step(state: ChainState, family, hp: ChainSettings,
     pitilde = np.concatenate([pi[1:], pi[0] * stick_breaking(v)])
 
     # 7-8. known-class atoms, then novelty atoms, each from its members
-    known = [family.draw_known(j, np.flatnonzero(state.alpha == j + 1), atom, rng)
-             for j, atom in enumerate(state.known_atoms)]
+    known = [family.draw_known(j, members, atom, rng)
+             for j, (members, atom) in enumerate(zip(_members(state.alpha, J),
+                                                     state.known_atoms))]
     prev = state.novel_atoms
-    novel = [family.draw_novel(np.flatnonzero(state.beta == h),
-                               prev[h - 1] if h <= len(prev) else None, rng)
-             for h in range(1, K + 1)]
+    novel = [family.draw_novel(members, prev[h] if h < len(prev) else None, rng)
+             for h, members in enumerate(_members(state.beta, K))]
 
     # 9-10. allocation over eligible components
     if M:
         xi = xi_values(kappa, J, L)
-        zeta_new = _sample_allocations(rng, family.loglik(known, novel), pitilde, u, xi)
+        eligible = u[:, None] < xi[None, :]
+        zeta_new = _sample_allocations(rng, family.loglik(known, novel, eligible),
+                                       pitilde, u, xi)
         alpha, beta = zeta_to_alpha_beta(zeta_new, J)
     else:
         alpha = np.zeros(0, dtype=int)

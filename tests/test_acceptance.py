@@ -2,8 +2,8 @@
 pass/fail line each.  Run with `pytest tests/test_acceptance.py -v -s`.
 
 The seeds-dataset criterion needs the public UCI table; it is located via
-the NOVELBAYES_SEEDS_PATH environment variable, tests/data/, or a live
-download, and the test reports a skip when none is available.
+the NOVELBAYES_SEEDS_PATH environment variable or tests/data/ (the suite
+never downloads), and the test reports a skip when neither has it.
 """
 
 import math

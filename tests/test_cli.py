@@ -160,6 +160,35 @@ class TestErrorPaths:
         assert "gamma" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_eta_stops_before_output_directory(self, sim_dir, tmp_path, capsys):
+        out = tmp_path / "eta"
+        code = run_cli("fit", "--train", str(sim_dir / "train.csv"),
+                       "--test", str(sim_dir / "test.csv"), "--outdir", str(out),
+                       "--n-iter", "3", "--n-burnin", "1", "--eta", "0.3")
+        assert code == 2
+        assert "eta" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_functional_bad_eta_stops_before_output_directory(self, tmp_path, capsys):
+        _write_curve_files(tmp_path)
+        out = tmp_path / "feta"
+        code = run_cli("fit-functional", "--train", str(tmp_path / "train.csv"),
+                       "--test", str(tmp_path / "test.csv"), "--outdir", str(out),
+                       "--n-basis", "8", "--order", "3", "--eta", "0.3")
+        assert code == 2
+        assert "eta" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_functional_negative_phi_stops_before_output_directory(self, tmp_path, capsys):
+        _write_curve_files(tmp_path)
+        out = tmp_path / "fphi"
+        code = run_cli("fit-functional", "--train", str(tmp_path / "train.csv"),
+                       "--test", str(tmp_path / "test.csv"), "--outdir", str(out),
+                       "--n-basis", "8", "--order", "3", "--phi", "-1")
+        assert code == 2
+        assert "phi" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_data_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0,x\n")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from novelbayes.errors import EmptySlice, NotPositiveDefinite
 from novelbayes.functional import FunctionalHyper
@@ -10,6 +11,8 @@ from novelbayes.model import (
     Hyperparameters,
     NIWParams,
     PriorMoments,
+    _mahalanobis_chol,
+    _solve_lower,
     alpha_beta_to_zeta,
     log_gaussian_density,
     log_gaussian_density_many,
@@ -166,6 +169,65 @@ class TestLogGaussian:
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefinite):
             log_gaussian_density(np.zeros(2), GaussianAtom(np.zeros(2), -np.eye(2)))
+
+
+def _outcome(fn):
+    """The value of fn(), or the type and message of what it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # the exception itself is what is compared
+        return type(exc), str(exc)
+
+
+class TestSolveLower:
+    """The direct LAPACK solve reproduces scipy's checked wrapper bit for
+    bit and raises what the wrapper raises."""
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_bitwise_equal_to_solve_triangular(self, p):
+        rng = np.random.default_rng(p)
+        for n in (1, 2, 3, 7, 50):
+            A = rng.normal(size=(p, p))
+            L = np.linalg.cholesky(A @ A.T + p * np.eye(p))
+            B = (rng.normal(size=(n, p)) * 10.0).T  # the F-ordered distance case
+            for factor in (L, np.asfortranarray(L)):
+                want = solve_triangular(factor, B, lower=True)
+                assert np.array_equal(_solve_lower(factor, B), want)
+            C = np.ascontiguousarray(B)  # the transposed factor in sample_niw
+            assert np.array_equal(_solve_lower(L, C), solve_triangular(L, C, lower=True))
+
+    def test_distances_match_the_wrapper_path(self):
+        rng = np.random.default_rng(9)
+        for p in range(1, 9):
+            X = rng.normal(size=(40, p))
+            mean = rng.normal(size=p)
+            A = rng.normal(size=(p, p))
+            cov = A @ A.T + np.eye(p)
+            Z = solve_triangular(np.linalg.cholesky(cov), (X - mean).T, lower=True)
+            assert np.array_equal(_mahalanobis_chol(X, mean, cov)[0], np.sum(Z * Z, axis=0))
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_singular_factor_raises_what_the_wrapper_raises(self, p):
+        L = np.tril(np.ones((p, p))) + np.eye(p)
+        L[p - 1, p - 1] = 0.0
+        B = np.ones((p, 2))
+        want = _outcome(lambda: solve_triangular(L, B, lower=True))
+        assert isinstance(want, tuple)
+        assert _outcome(lambda: _solve_lower(L, B)) == want
+
+    def test_non_finite_mean_raises_what_the_wrapper_raised(self):
+        X, cov = np.zeros((3, 2)), np.eye(2)
+        mean = np.array([0.0, np.nan])
+        want = _outcome(lambda: solve_triangular(np.eye(2), (X - mean).T, lower=True))
+        assert _outcome(lambda: _mahalanobis_chol(X, mean, cov)) == want
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_covariance_raises_what_the_wrapper_raised(self, bad):
+        cov = np.array([[bad, 0.0], [0.0, 1.0]])
+        L = np.linalg.cholesky(cov)  # numpy passes the NaN or inf through
+        want = _outcome(lambda: solve_triangular(L, np.ones((2, 3)), lower=True))
+        assert _outcome(lambda: log_gaussian_density_many(np.ones((3, 2)),
+                                                          np.zeros(2), cov)) == want
 
 
 def _settings(cls, **kw):

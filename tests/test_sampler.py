@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from novelbayes.errors import NotPositiveDefinite
 from novelbayes.model import (
@@ -10,6 +13,7 @@ from novelbayes.model import (
     Hyperparameters,
     NIWParams,
     alpha_beta_to_zeta,
+    log_gaussian_density_many,
     xi_values,
 )
 from novelbayes.robust import RobustClassSummary
@@ -134,6 +138,73 @@ class TestSampleNiw:
         params = NIWParams(np.zeros(2), 1.0, 5.0, -np.eye(2))
         with pytest.raises(NotPositiveDefinite):
             sample_niw(params, np.random.default_rng(0))
+
+    def test_non_finite_scale_raises_what_the_wrapper_raised(self):
+        params = NIWParams(np.zeros(2), 1.0, 5.0, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            sample_niw(params, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_draws_match_the_wrapper_formula(self, p):
+        """The cached factor and the direct solve reproduce the draw made
+        with a fresh Cholesky factor and scipy's solve_triangular."""
+        def reference(params, rng):
+            C = np.linalg.cholesky(params.scale_matrix)
+            A = np.zeros((p, p))
+            A[np.diag_indices(p)] = np.sqrt(rng.chisquare(params.dof - np.arange(p)))
+            if p > 1:
+                A[np.tril_indices(p, -1)] = rng.standard_normal(p * (p - 1) // 2)
+            M = solve_triangular(A, C.T, lower=True).T
+            cov = M @ M.T
+            cov = 0.5 * (cov + cov.T)
+            mean = params.mean + (M @ rng.standard_normal(p)) / math.sqrt(params.precision_scale)
+            return mean, cov
+
+        S = np.eye(p) + 0.3
+        params = NIWParams(np.arange(p, dtype=float), 0.5, p + 3.0, S)
+        got_rng, want_rng = np.random.default_rng(p), np.random.default_rng(p)
+        for _ in range(20):
+            atom = sample_niw(params, got_rng)
+            mean, cov = reference(params, want_rng)
+            assert np.array_equal(atom.mean, mean) and np.array_equal(atom.cov, cov)
+
+
+@st.composite
+def _masked_loglik_case(draw):
+    """Data, atoms and an eligibility mask built like the sampler's (u_m <
+    xi_l, so the tail columns thin out geometrically), with one column
+    forced to a single eligible row and one forced to all rows."""
+    p = draw(st.integers(1, 8))
+    M = draw(st.integers(2, 60))
+    J = draw(st.integers(1, 3))
+    K = draw(st.integers(3, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.normal(size=(M, p)) * rng.uniform(0.1, 5.0)
+    base = NIWParams(np.zeros(p), 0.1, p + 2.0, np.eye(p))
+    atoms = [sample_niw(base, rng) for _ in range(J + K)]
+    xi = xi_values(0.5, J, J + K)
+    u = rng.random(M) * xi[J]
+    eligible = u[:, None] < xi[None, :]
+    single, full = draw(st.lists(st.integers(J + 1, J + K - 1), min_size=2,
+                                 max_size=2, unique=True))
+    eligible[:, single] = False
+    eligible[draw(st.integers(0, M - 1)), single] = True
+    eligible[:, full] = True
+    return data, atoms[:J], atoms[J:], eligible
+
+
+@settings(max_examples=80, deadline=None)
+@given(_masked_loglik_case())
+def test_masked_loglik_equals_full_loglik_on_eligible_cells(case):
+    data, known, novel, eligible = case
+    p = data.shape[1]
+    family = GaussianFamily(TestDataset(data), [_summary(np.zeros(p), np.eye(p))] * len(known),
+                            _hyper([5] * len(known), p))
+    full = np.column_stack([log_gaussian_density_many(data, a.mean, a.cov)
+                            for a in known + novel])
+    got = family.loglik(known, novel, eligible)
+    assert np.array_equal(got[eligible], full[eligible])
+    assert np.all(got[~eligible] == -np.inf)
 
 
 def test_start_distance_with_non_spd_scatter_is_a_numerical_error():
