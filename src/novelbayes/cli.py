@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as nio
-from .errors import DataError, NoveltyError, NumericalError
+from .errors import DataError, NoveltyError, NumericalError, ParseError
 from .functional import BasisSpec, FunctionalHyper, extract_functional_priors, run_functional_chain
 from .model import GammaPrior, Hyperparameters, NIWParams
 from .postprocess import ari, known_accuracy, novelty_precision, summarize
@@ -139,10 +139,13 @@ def _cmd_extract_priors(args) -> int:
 
 
 def _fit_common(cfg, outdir: Path, run, inputs: dict, seed: int):
+    fmt = cfg.get("trace-format", "bin")
+    if fmt not in nio.TRACE_FORMATS:
+        raise ValueError(f"trace-format must be one of {', '.join(nio.TRACE_FORMATS)}")
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     output, summary = run()
-    nio.save_chain(output, outdir / "traces", fmt=cfg.get("trace-format", "bin"))
+    nio.save_chain(output, outdir / "traces", fmt=fmt)
     nio.save_summary(summary, outdir / "summary")
     nio.write_manifest(outdir, {k: str(v) for k, v in cfg.items()}, seed, inputs,
                        runtime_seconds=time.perf_counter() - t0)
@@ -250,9 +253,13 @@ def _cmd_metrics(args) -> int:
             return USAGE_EXIT
     labels = []
     with open(cfg["labels"]) as fh:
-        next(fh)  # header
-        for line in fh:
-            labels.append(int(line.split(",")[1]))
+        if not fh.readline():
+            raise ParseError(f"{cfg['labels']}: empty file, expected a header row")
+        for lineno, line in enumerate(fh, start=2):
+            fields = line.split(",")
+            if len(fields) < 2:
+                raise ParseError(f"{cfg['labels']}: row {lineno} has no label column")
+            labels.append(int(fields[1]))
     truth = [int(float(x)) for x in Path(cfg["truth"]).read_text().split()]
     J = int(cfg["n-known"])
     known = list(range(1, J + 1))
@@ -319,7 +326,7 @@ def build_parser() -> _Parser:
         p.add_argument("--gamma-fixed", type=float)
         p.add_argument("--ppn-threshold", type=float)
         p.add_argument("--min-size", type=int)
-        p.add_argument("--trace-format", choices=["bin", "csv"])
+        p.add_argument("--trace-format", choices=nio.TRACE_FORMATS)
         if name == "fit":
             p.add_argument("--lambda-tr", type=float)
             p.add_argument("--nu-tr", type=float)

@@ -25,6 +25,8 @@ from .robust import LabeledDataset, RobustClassSummary
 from .sampler import ChainOutput, TestDataset
 
 FORMAT_VERSION = 1
+TRACE_FORMATS = ("bin", "csv")  # flat little-endian binary, or CSV
+_TRACE_ARRAYS = ("alpha_trace", "beta_trace", "pi_trace", "gamma_trace", "n_active_trace")
 
 # sha256 digests pin the copies we validated against; None = accept any and
 # report, for sources that occasionally re-serve with altered whitespace
@@ -163,7 +165,7 @@ def _write_array(directory: Path, name: str, arr: np.ndarray, fmt: str) -> dict:
         np.savetxt(directory / fname, np.atleast_2d(arr),
                    fmt="%.17g" if arr.dtype.kind == "f" else "%d", delimiter=",")
     else:
-        raise ValueError("fmt must be 'bin' or 'csv'")
+        raise ValueError(f"fmt must be one of {', '.join(TRACE_FORMATS)}")
     return {"file": fname, "dtype": f"<{arr.dtype.kind}{arr.dtype.itemsize}",
             "shape": list(arr.shape), "format": fmt}
 
@@ -183,7 +185,7 @@ def save_chain(output: ChainOutput, directory, fmt: str = "bin"):
     directory.mkdir(parents=True, exist_ok=True)
     meta = {"format_version": FORMAT_VERSION, "n_known": output.n_known,
             "seed": output.seed, "meta": output.meta, "arrays": {}}
-    for name in ("alpha_trace", "beta_trace", "pi_trace", "gamma_trace", "n_active_trace"):
+    for name in _TRACE_ARRAYS:
         meta["arrays"][name] = _write_array(directory, name, getattr(output, name), fmt)
     if output.atom_snapshots is not None:
         (directory / "atoms.json").write_text(json.dumps(output.atom_snapshots))
@@ -194,13 +196,16 @@ def save_chain(output: ChainOutput, directory, fmt: str = "bin"):
 def load_chain(directory) -> ChainOutput:
     directory = Path(directory)
     meta = json.loads((directory / "metadata.json").read_text())
-    arrays = {name: _read_array(directory, entry)
-              for name, entry in meta["arrays"].items()}
+    try:
+        arrays = {name: _read_array(directory, meta["arrays"][name]) for name in _TRACE_ARRAYS}
+        n_known, seed, run_meta = meta["n_known"], meta["seed"], meta["meta"]
+    except KeyError as exc:
+        raise ParseError(f"{directory / 'metadata.json'}: missing key {exc}") from exc
     snapshots = None
     if "atoms" in meta:
         snapshots = json.loads((directory / meta["atoms"]).read_text())
-    return ChainOutput(n_known=meta["n_known"], seed=meta["seed"],
-                       atom_snapshots=snapshots, meta=meta["meta"], **arrays)
+    return ChainOutput(n_known=n_known, seed=seed, atom_snapshots=snapshots,
+                       meta=run_meta, **arrays)
 
 
 def save_summary(summary, directory):
@@ -221,8 +226,6 @@ def save_summary(summary, directory):
               "ppn_threshold": summary.ppn_threshold,
               "min_size": summary.min_size}
     (directory / "ppcm.json").write_text(json.dumps(header, indent=1))
-    if summary.metrics is not None:
-        (directory / "metrics.json").write_text(json.dumps(summary.metrics, indent=1))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ class PosteriorSummary:
     anomaly_flags: np.ndarray
     ppn_threshold: float
     min_size: int
-    metrics: Optional[dict] = None
 
 
 def ppn(alpha_trace: np.ndarray) -> np.ndarray:

@@ -9,11 +9,10 @@ triples seed the informative priors of the second stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.stats import chi2
 
 from .errors import (
@@ -23,10 +22,11 @@ from .errors import (
     NumericalError,
     SingularSubset,
 )
-from .model import _mahalanobis_chol
+from .model import _chol, _mahalanobis_chol, _solve_lower
 
 _DET_TOL = 1e-9  # relative slack when checking the C-step descent property
 _MAX_CONDITION = 1000.0  # bound on the condition number of an MRCD scatter
+_RHO_GRID = np.arange(1, 101) / 100  # MRCD shrinkage weights 0.01, 0.02, ..., 1.00
 
 
 # ---------------------------------------------------------------------------
@@ -77,19 +77,15 @@ class LabeledDataset:
 class McdConfig:
     """Controls for the subset search.
 
-    ``eta`` is the untrimmed fraction; ``eta_overrides`` allows a different
-    fraction for specific classes while everything else shares ``eta``.
-    ``rho_grid_step`` spaces the shrinkage grid searched for the smallest
-    weight that keeps the regularized scatter's condition number at or
-    below ``_MAX_CONDITION`` (1000; regularized branch only).
+    ``eta`` is the untrimmed fraction of every class; ``n_starts`` initial
+    subsets each run at most ``max_csteps`` concentration steps; ``seed``
+    seeds the starts when no generator is passed.
     """
 
     eta: float = 0.75
     n_starts: int = 500
     max_csteps: int = 100
     seed: int = 0
-    eta_overrides: Optional[Mapping[int, float]] = None
-    rho_grid_step: float = 0.01
 
     def __post_init__(self):
         if not 0.5 <= self.eta <= 1.0:
@@ -98,11 +94,6 @@ class McdConfig:
             raise ValueError("n_starts must be >= 1")
         if self.max_csteps < 1:
             raise ValueError("max_csteps must be >= 1")
-
-    def eta_for(self, j: int) -> float:
-        if self.eta_overrides and j in self.eta_overrides:
-            return float(self.eta_overrides[j])
-        return self.eta
 
 
 @dataclass
@@ -223,29 +214,40 @@ def _elemental_start(X: np.ndarray, h: int, rng: np.random.Generator) -> np.ndar
                 raise
 
 
-def _c_steps(X: np.ndarray, idx: np.ndarray, h: int, max_csteps: int):
-    """Concentration steps from an initial h-subset; returns the fixed point.
-
-    The determinant of the subset covariance never increases along the way;
-    a violation beyond floating-point slack is reported as a NumericalError
-    because it indicates a programming bug, not a data problem.
+def _concentrate(X: np.ndarray, idx: np.ndarray, h: int, max_csteps: int, scatter):
+    """Concentration steps from an initial h-subset, minimizing det S with
+    S = ``scatter(subset covariance)``; returns (subset, mean, S, log det S)
+    at the fixed point.  det S never increases along the way; a violation
+    beyond floating-point slack is a NumericalError (a bug, not a data problem).
     """
     mean, cov = _subset_moments(X, idx)
-    logdet = _slogdet_spd(cov)
+    S = scatter(cov)
+    logdet = _slogdet_spd(S)
     for _ in range(max_csteps):
-        dist = _sq_mahalanobis(X, mean, cov)
+        dist = _sq_mahalanobis(X, mean, S)
         new_idx = _smallest_h(dist, h)
         if np.array_equal(new_idx, idx):
             break
         new_mean, new_cov = _subset_moments(X, new_idx)
-        new_logdet = _slogdet_spd(new_cov)
+        new_S = scatter(new_cov)
+        new_logdet = _slogdet_spd(new_S)
         if new_logdet > logdet + _DET_TOL * max(1.0, abs(logdet)):
             raise NumericalError("C-step determinant increased")
         converged = new_logdet >= logdet - _DET_TOL * max(1.0, abs(logdet))
-        idx, mean, cov, logdet = new_idx, new_mean, new_cov, new_logdet
+        idx, mean, S, logdet = new_idx, new_mean, new_S, new_logdet
         if converged:
             break
-    return idx, mean, cov, logdet
+    return idx, mean, S, logdet
+
+
+def _best(fits):
+    """The fit with the smallest log-determinant; the first one wins ties."""
+    return min(fits, key=lambda fit: fit[3])
+
+
+def _c_steps(X: np.ndarray, idx: np.ndarray, h: int, max_csteps: int):
+    """MCD concentration: minimizes the plain subset covariance determinant."""
+    return _concentrate(X, idx, h, max_csteps, lambda cov: cov)
 
 
 def fast_mcd(data: np.ndarray, cfg: McdConfig,
@@ -286,14 +288,10 @@ def fast_mcd(data: np.ndarray, cfg: McdConfig,
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 
-    best = None
-    for _ in range(cfg.n_starts):
-        idx = _elemental_start(X, h, rng)
-        idx, mean, cov, logdet = _c_steps(X, idx, h, cfg.max_csteps)
-        if best is None or logdet < best[3]:
-            best = (idx, mean, cov, logdet)
-
-    idx, mean, cov, logdet = best
+    # a generator, so each start is drawn right before its C-steps run
+    idx, mean, cov, logdet = _best(
+        _c_steps(X, _elemental_start(X, h, rng), h, cfg.max_csteps)
+        for _ in range(cfg.n_starts))
     # final SPD check of the reported scatter
     _sq_mahalanobis(X[:1], mean, cov)
     return RobustClassSummary(
@@ -315,24 +313,9 @@ def _condition_number(K: np.ndarray) -> float:
 
 
 def _mrcd_c_steps(X, idx, h, rho, c0, max_csteps):
-    mean, cov = _subset_moments(X, idx)
-    K = _regularized(cov, rho, c0, X.shape[1])
-    logdet = _slogdet_spd(K)
-    for _ in range(max_csteps):
-        dist = _sq_mahalanobis(X, mean, K)
-        new_idx = _smallest_h(dist, h)
-        if np.array_equal(new_idx, idx):
-            break
-        new_mean, new_cov = _subset_moments(X, new_idx)
-        new_K = _regularized(new_cov, rho, c0, X.shape[1])
-        new_logdet = _slogdet_spd(new_K)
-        if new_logdet > logdet + _DET_TOL * max(1.0, abs(logdet)):
-            raise NumericalError("regularized C-step determinant increased")
-        converged = new_logdet >= logdet - _DET_TOL * max(1.0, abs(logdet))
-        idx, mean, K, logdet = new_idx, new_mean, new_K, new_logdet
-        if converged:
-            break
-    return idx, mean, K, logdet
+    """MRCD concentration: minimizes the regularized scatter's determinant."""
+    p = X.shape[1]
+    return _concentrate(X, idx, h, max_csteps, lambda cov: _regularized(cov, rho, c0, p))
 
 
 def mrcd(data: np.ndarray, cfg: McdConfig,
@@ -344,7 +327,7 @@ def mrcd(data: np.ndarray, cfg: McdConfig,
     the h-subset chosen to minimize its determinant.  The search runs in the
     coordinates whitened by the target (default: diagonal of the full-sample
     covariance), where the target becomes the identity; rho is the smallest
-    grid value whose regularized scatter stays below ``_MAX_CONDITION``
+    ``_RHO_GRID`` value whose regularized scatter stays below ``_MAX_CONDITION``
     in condition number, bumped upward if the optimized subset violates the
     bound.  Applicable whenever n >= 2, including p >= h.
     """
@@ -356,8 +339,7 @@ def mrcd(data: np.ndarray, cfg: McdConfig,
         raise InsufficientRows("mrcd needs at least two observations")
     if np.allclose(X, X[0]):
         raise DegenerateData("all observations identical")
-    h = int(np.floor(cfg.eta * n))
-    h = max(h, 2)
+    h = max(int(np.floor(cfg.eta * n)), 2)
 
     if target is None:
         var = X.var(axis=0, ddof=1)
@@ -368,11 +350,8 @@ def mrcd(data: np.ndarray, cfg: McdConfig,
         target = np.asarray(target, dtype=float)
 
     # whiten so the target is the identity
-    try:
-        C = np.linalg.cholesky(target)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("target matrix is not positive definite") from exc
-    Xw = solve_triangular(C, X.T, lower=True).T
+    C = np.asarray_chkfinite(_chol(target))
+    Xw = _solve_lower(C, X.T).T
 
     c0 = consistency_factor(cfg.eta, p)
     if rng is None:
@@ -382,23 +361,16 @@ def mrcd(data: np.ndarray, cfg: McdConfig,
     idx0 = _smallest_h(np.sum((Xw - med) ** 2, axis=1), h)
     _, cov0 = _subset_moments(Xw, idx0)
 
-    grid = np.round(np.arange(cfg.rho_grid_step, 1.0 + 1e-12, cfg.rho_grid_step), 10)
-    start_pos = 0
-    for start_pos, rho in enumerate(grid):
+    for start_pos, rho in enumerate(_RHO_GRID):
         if _condition_number(_regularized(cov0, rho, c0, p)) <= _MAX_CONDITION:
             break
 
     starts = [idx0] + [np.sort(rng.choice(n, size=h, replace=False))
                        for _ in range(cfg.n_starts - 1)]
 
-    for pos in range(start_pos, len(grid)):
-        rho = float(grid[pos])
-        best = None
-        for idx in starts:
-            out = _mrcd_c_steps(Xw, idx, h, rho, c0, cfg.max_csteps)
-            if best is None or out[3] < best[3]:
-                best = out
-        idx, mean_w, K, logdet_w = best
+    for rho in _RHO_GRID[start_pos:]:
+        idx, mean_w, K, logdet_w = _best(
+            _mrcd_c_steps(Xw, start, h, rho, c0, cfg.max_csteps) for start in starts)
         cond = _condition_number(K)
         if cond <= _MAX_CONDITION:
             mean = C @ mean_w
@@ -408,7 +380,7 @@ def mrcd(data: np.ndarray, cfg: McdConfig,
             return RobustClassSummary(
                 mean=mean, scatter=scatter, untrimmed=idx, method="MRCD",
                 determinant=float(np.exp(logdet)), log_determinant=logdet,
-                rho=rho, condition_number=cond)
+                rho=float(rho), condition_number=cond)
     raise NumericalError("no shrinkage weight met the condition-number bound")
 
 
@@ -419,27 +391,20 @@ def mrcd(data: np.ndarray, cfg: McdConfig,
 def extract_class_priors(train: LabeledDataset, cfg: McdConfig) -> list[RobustClassSummary]:
     """Run the robust estimator within every observed class.
 
-    MCD is attempted first; the regularized variant takes over when the
-    subset size is at most the dimension or the MCD subset degenerates.
-    Per-class randomness derives from (cfg.seed, class index) so adding a
-    class never perturbs the others.
+    MCD is attempted first; MRCD takes over in two cases: the subset size
+    is at most the dimension (h <= p, ``InsufficientRows``), or an MCD
+    subset is singular (``SingularSubset``).  Each attempt draws from a
+    fresh generator seeded with (cfg.seed, class index), so adding a class
+    never perturbs the others.
     """
     out = []
-    p = train.dim
     for j in range(1, train.n_classes + 1):
-        rows = train.class_rows(j)
-        X = train.data[rows]
-        cfg_j = replace(cfg, eta=cfg.eta_for(j))
-        rng = np.random.default_rng([cfg.seed, j])
-        h = int(np.floor(cfg_j.eta * len(rows)))
+        X = train.data[train.class_rows(j)]
         try:
-            if h >= p + 1:
-                try:
-                    out.append(fast_mcd(X, cfg_j, rng=rng))
-                except SingularSubset:
-                    out.append(mrcd(X, cfg_j, rng=np.random.default_rng([cfg.seed, j])))
-            else:
-                out.append(mrcd(X, cfg_j, rng=rng))
+            try:
+                out.append(fast_mcd(X, cfg, rng=np.random.default_rng([cfg.seed, j])))
+            except (InsufficientRows, SingularSubset):
+                out.append(mrcd(X, cfg, rng=np.random.default_rng([cfg.seed, j])))
         except (DegenerateData, InsufficientRows, NumericalError) as exc:
             raise type(exc)(f"class {j}: {exc}") from exc
     return out

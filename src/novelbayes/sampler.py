@@ -124,10 +124,6 @@ class ChainOutput:
             raise ValueError("exactly one of alpha, beta must be positive")
 
     @property
-    def n_retained(self) -> int:
-        return self.alpha_trace.shape[0]
-
-    @property
     def n_units(self) -> int:
         return self.alpha_trace.shape[1]
 

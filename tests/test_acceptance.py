@@ -16,7 +16,6 @@ import pytest
 
 import novelbayes as nb
 from novelbayes.model import GammaPrior, NIWParams
-from novelbayes.postprocess import ppn
 
 import oracles
 

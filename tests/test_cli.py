@@ -1,5 +1,4 @@
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +187,46 @@ class TestErrorPaths:
         assert code == 2
         assert "phi" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_bad_trace_format_in_config_stops_before_output_directory(
+            self, sim_dir, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("trace-format = xyz\n")
+        out = tmp_path / "fmt"
+        code = run_cli("fit", "--config", str(conf), "--train", str(sim_dir / "train.csv"),
+                       "--test", str(sim_dir / "test.csv"), "--outdir", str(out),
+                       "--n-starts", "20", "--n-iter", "3", "--n-burnin", "1")
+        assert code == 2
+        assert "trace-format" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_labels_file_is_data_error(self, sim_dir, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("")
+        code = run_cli("metrics", "--labels", str(labels),
+                       "--truth", str(sim_dir / "truth.csv"), "--n-known", "3")
+        assert code == 2
+        assert str(labels) in capsys.readouterr().err
+
+    def test_labels_row_without_label_is_data_error(self, sim_dir, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("unit,label,ppn,anomaly\n0,1,0.0,0\n1\n")
+        code = run_cli("metrics", "--labels", str(labels),
+                       "--truth", str(sim_dir / "truth.csv"), "--n-known", "3")
+        assert code == 2
+        assert "row 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("meta", [
+        {},
+        {"n_known": 1, "seed": 0, "meta": {}, "arrays": {}},
+        {"n_known": 1, "seed": 0, "meta": {}, "arrays": {"alpha_trace": {}}},
+    ])
+    def test_incomplete_chain_metadata_is_data_error(self, meta, tmp_path, capsys):
+        chain = tmp_path / "traces"
+        chain.mkdir()
+        (chain / "metadata.json").write_text(json.dumps(meta))
+        assert run_cli("summarize", "--chain-dir", str(chain)) == 2
+        assert "missing key" in capsys.readouterr().err
 
     def test_malformed_data_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

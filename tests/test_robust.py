@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from novelbayes import robust
 from novelbayes.errors import DegenerateData, InsufficientRows, SingularSubset
 from novelbayes.robust import (
     LabeledDataset,
@@ -101,10 +102,11 @@ class TestFastMcd:
 
 
 class TestMrcd:
-    def test_full_shrinkage_returns_target(self):
+    def test_full_shrinkage_returns_target(self, monkeypatch):
+        monkeypatch.setattr(robust, "_RHO_GRID", [1.0])
         rng = np.random.default_rng(4)
         X = rng.normal(size=(20, 3))
-        s = mrcd(X, McdConfig(eta=0.75, n_starts=10, seed=0, rho_grid_step=1.0))
+        s = mrcd(X, McdConfig(eta=0.75, n_starts=10, seed=0))
         assert s.rho == 1.0
         assert s.scatter == pytest.approx(np.diag(X.var(axis=0, ddof=1)), rel=1e-10)
 
@@ -174,14 +176,16 @@ class TestExtractClassPriors:
         out = extract_class_priors(LabeledDataset(X, labels), McdConfig(eta=0.75, n_starts=10))
         assert [s.method for s in out] == ["MRCD", "MRCD"]
 
-    def test_eta_override_per_class(self):
-        rng = np.random.default_rng(10)
-        X = rng.normal(size=(40, 2))
-        labels = np.repeat([1, 2], 20)
-        cfg = McdConfig(eta=1.0, eta_overrides={2: 0.75}, n_starts=50)
-        s1, s2 = extract_class_priors(LabeledDataset(X, labels), cfg)
-        assert s1.untrimmed.size == 20
-        assert s2.untrimmed.size == 15
+    def test_mrcd_fallback_when_mcd_subset_singular(self):
+        # the collinear class of test_singular_subset_signals_fallback:
+        # h = 9 >= p + 1, so MCD runs first and its singular subset hands over
+        X = np.zeros((12, 2))
+        X[:, 0] = np.arange(12)
+        cfg = McdConfig(eta=0.75, n_starts=30, seed=0)
+        (s,) = extract_class_priors(LabeledDataset(X, np.ones(12, dtype=int)), cfg)
+        want = mrcd(X, cfg, rng=np.random.default_rng([cfg.seed, 1]))
+        assert s.method == "MRCD"
+        assert s.to_dict() == want.to_dict()
 
     def test_error_carries_class_index(self):
         X = np.ones((8, 2))

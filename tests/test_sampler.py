@@ -9,7 +9,6 @@ from scipy.linalg import solve_triangular
 from novelbayes.errors import NotPositiveDefinite
 from novelbayes.model import (
     GammaPrior,
-    GaussianAtom,
     Hyperparameters,
     NIWParams,
     alpha_beta_to_zeta,
