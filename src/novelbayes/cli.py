@@ -3,7 +3,9 @@ summarize / metrics (+ fetch for the public benchmark tables).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 Every fitting run writes a manifest.json (config echo, seed, input digests)
-so results can be reproduced exactly.
+so results can be reproduced exactly.  Flags, config keys and their checks
+follow from two tables, ``_OPTIONS`` and ``_COMMANDS``; only the options the
+user set are passed on, so the rest keep their defaults in the library.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -28,16 +31,41 @@ from .simulate import SimulationSpec, generate_simulation
 USAGE_EXIT, DATA_EXIT, NUMERICAL_EXIT = 1, 2, 3
 
 
+def _flag(value) -> bool:
+    return str(value).lower() in ("1", "true", "yes")
+
+
+class _Option(NamedTuple):
+    type: Callable = str
+    choices: Optional[tuple] = None
+    help: Optional[str] = None
+
+
+# every flag and config key; max-csteps, gamma-shape and gamma-rate are
+# config-only, since no command lists them in _COMMANDS
+_OPTIONS = {
+    "config": _Option(help="flat key=value config file; flags override it"),
+    "seed": _Option(int, help="root seed for the whole run"),
+    "outdir": _Option(help="output directory"),
+    "scenario": _Option(choices=("notsmall", "small")),
+    "trace-format": _Option(choices=nio.TRACE_FORMATS),
+    "layout": _Option(choices=("wide", "long")),
+    "label-noise": _Option(_flag),
+    "header": _Option(_flag),
+    **dict.fromkeys(("train", "test", "out", "m0", "chain-dir", "labels", "truth",
+                     "name", "dest"), _Option()),
+    **dict.fromkeys(("n-starts", "max-csteps", "n-iter", "n-burnin", "min-size",
+                     "n-basis", "order", "n-known"), _Option(int)),
+    **dict.fromkeys(("eta", "a0", "kappa", "gamma-fixed", "gamma-shape", "gamma-rate",
+                     "ppn-threshold", "lambda-tr", "nu-tr", "lambda0", "nu0", "s0-scale",
+                     "a-tau", "b-tau", "s2", "a-h", "b-h", "phi", "v"), _Option(float)),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise SystemExit(USAGE_EXIT)
-
-
-def _add_common(p):
-    p.add_argument("--config", help="flat key=value config file; flags override it")
-    p.add_argument("--seed", type=int, help="root seed for the whole run")
-    p.add_argument("--outdir", help="output directory")
 
 
 def _merged_config(args) -> dict:
@@ -51,86 +79,71 @@ def _merged_config(args) -> dict:
     return cfg
 
 
-def _get(cfg, key, cast, default):
-    if key in cfg:
-        return cast(cfg[key])
-    return default
+def _get(cfg, key, default=None):
+    """``cfg[key]`` cast to the option's type and checked against its
+    choices, or ``default`` when the key is not set."""
+    if key not in cfg:
+        return default
+    option = _OPTIONS[key]
+    try:
+        value = option.type(cfg[key])
+    except ValueError:
+        raise ValueError(f"{key}: cannot read {cfg[key]!r} as "
+                         f"{option.type.__name__}") from None
+    if option.choices and value not in option.choices:
+        raise ValueError(f"{key} must be one of {', '.join(option.choices)}")
+    return value
+
+
+def _given(cfg, *fields, **keyed) -> dict:
+    """Keyword arguments for only the options the user set.  Each field reads
+    the option spelt like it (lower case, '-' for '_') unless ``keyed`` names
+    the option."""
+    keys = {field: field.lower().replace("_", "-") for field in fields} | keyed
+    return {field: _get(cfg, key) for field, key in keys.items() if key in cfg}
 
 
 def _mcd_config(cfg) -> McdConfig:
-    return McdConfig(
-        eta=_get(cfg, "eta", float, 0.75),
-        n_starts=_get(cfg, "n-starts", int, 500),
-        max_csteps=_get(cfg, "max-csteps", int, 100),
-        seed=_get(cfg, "seed", int, 0),
-    )
-
-
-def _gamma_from(cfg):
-    if "gamma-fixed" in cfg:
-        return float(cfg["gamma-fixed"])
-    return GammaPrior(_get(cfg, "gamma-shape", float, 1.0),
-                      _get(cfg, "gamma-rate", float, 1.0))
-
-
-def _base_measure(cfg, p: int) -> NIWParams:
-    m0 = cfg.get("m0", "0")
-    parts = [float(x) for x in str(m0).split(",")]
-    mean = np.full(p, parts[0]) if len(parts) == 1 else np.asarray(parts)
-    nu0 = _get(cfg, "nu0", float, float(max(p + 2, 10)))
-    return NIWParams(mean,
-                     _get(cfg, "lambda0", float, 0.01),
-                     nu0,
-                     _get(cfg, "s0-scale", float, 10.0) * np.eye(p))
+    return McdConfig(**_given(cfg, "eta", "n_starts", "max_csteps", "seed"))
 
 
 def _chain_settings(settings_cls, cfg, class_sizes, n_iter: int, n_burnin: int, **own):
-    """Settings of either chain: the flags both fit commands share, with the
+    """Settings of either chain: the options both fit commands share, with the
     command's own scan-count defaults, plus the model's own fields."""
+    gamma = _get(cfg, "gamma-fixed") if "gamma-fixed" in cfg \
+        else GammaPrior(**_given(cfg, shape="gamma-shape", rate="gamma-rate"))
     return settings_cls.with_class_weights(
-        class_sizes,
-        a0=_get(cfg, "a0", float, 0.1),
-        gamma=_gamma_from(cfg),
-        kappa=_get(cfg, "kappa", float, 0.5),
-        n_iter=_get(cfg, "n-iter", int, n_iter),
-        n_burnin=_get(cfg, "n-burnin", int, n_burnin),
-        seed=_get(cfg, "seed", int, 0),
-        **own)
+        class_sizes, gamma=gamma,
+        n_iter=_get(cfg, "n-iter", n_iter), n_burnin=_get(cfg, "n-burnin", n_burnin),
+        **_given(cfg, "a0", "kappa", "seed"), **own)
 
 
 def _summarize(cfg, output):
-    return summarize(output,
-                     ppn_threshold=_get(cfg, "ppn-threshold", float, 0.5),
-                     min_size=_get(cfg, "min-size", int, None))
+    return summarize(output, **_given(cfg, "ppn_threshold", "min_size"))
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_simulate(args) -> int:
-    cfg = _merged_config(args)
+def _cmd_simulate(cfg) -> int:
+    spec = SimulationSpec.scenario(**_given(cfg, "label_noise", "seed",
+                                            novelty_size="scenario"))
+    train, test, truth = generate_simulation(spec)
     outdir = Path(cfg.get("outdir", "."))
     outdir.mkdir(parents=True, exist_ok=True)
-    seed = _get(cfg, "seed", int, 0)
-    spec = SimulationSpec.scenario(
-        novelty_size=cfg.get("scenario", "notsmall"),
-        label_noise=str(cfg.get("label-noise", "false")).lower() in ("1", "true", "yes"),
-        seed=seed)
-    train, test, truth = generate_simulation(spec)
     nio.write_multivariate(outdir / "train.csv", train.data, train.labels)
     nio.write_multivariate(outdir / "test.csv", test.data)
     with open(outdir / "truth.csv", "w") as fh:
         fh.writelines(f"{int(t)}\n" for t in truth)
-    nio.write_manifest(outdir, cfg, seed, {})
+    nio.write_manifest(outdir, cfg, spec.seed, {})
     print(f"wrote train/test/truth to {outdir}")
     return 0
 
 
-def _cmd_extract_priors(args) -> int:
-    cfg = _merged_config(args)
+def _cmd_extract_priors(cfg) -> int:
     train = nio.load_multivariate(cfg["train"], has_labels=True,
-                                  has_header=str(cfg.get("header", "false")).lower() == "true")
+                                  **_given(cfg, has_header="header"))
     summaries = extract_class_priors(train, _mcd_config(cfg))
     out = Path(cfg.get("out", "priors.json"))
     nio.summaries_to_json(summaries, out)
@@ -138,106 +151,85 @@ def _cmd_extract_priors(args) -> int:
     return 0
 
 
-def _fit_common(cfg, outdir: Path, run, inputs: dict, seed: int):
-    fmt = cfg.get("trace-format", "bin")
-    if fmt not in nio.TRACE_FORMATS:
-        raise ValueError(f"trace-format must be one of {', '.join(nio.TRACE_FORMATS)}")
-    outdir.mkdir(parents=True, exist_ok=True)
+def _fit_common(cfg, run, seed: int) -> Path:
+    """Run a fit, then write its run directory.
+
+    ``run()`` does Stage I, the chain and the summary, and returns the chain
+    output, the summary and a writer of the command's own files.  The
+    directory is made only after it returns, so a failed fit leaves none.
+    """
+    fmt = _given(cfg, fmt="trace-format")  # checked before Stage I starts
     t0 = time.perf_counter()
-    output, summary = run()
-    nio.save_chain(output, outdir / "traces", fmt=fmt)
-    nio.save_summary(summary, outdir / "summary")
-    nio.write_manifest(outdir, {k: str(v) for k, v in cfg.items()}, seed, inputs,
-                       runtime_seconds=time.perf_counter() - t0)
-
-
-def _cmd_fit(args) -> int:
-    cfg = _merged_config(args)
-    for key in ("train", "test"):
-        if key not in cfg:
-            print(f"fit requires --{key}", file=sys.stderr)
-            return USAGE_EXIT
+    output, summary, write_own = run()
     outdir = Path(cfg.get("outdir", "run"))
-    header = str(cfg.get("header", "false")).lower() == "true"
-    train = nio.load_multivariate(cfg["train"], has_labels=True, has_header=header)
-    test = nio.load_multivariate(cfg["test"], has_labels=False, has_header=header)
-    hp = _chain_settings(
-        Hyperparameters, cfg, train.class_sizes, 20000, 10000,
-        lambda_tr=_get(cfg, "lambda-tr", float, 10.0),
-        nu_tr=_get(cfg, "nu-tr", float, float(max(train.dim + 2, 10))),
-        base_measure=_base_measure(cfg, train.dim))
+    outdir.mkdir(parents=True, exist_ok=True)
+    write_own(outdir)
+    nio.save_chain(output, outdir / "traces", **fmt)
+    nio.save_summary(summary, outdir / "summary")
+    nio.write_manifest(outdir, {k: str(v) for k, v in cfg.items()}, seed,
+                       {"train": cfg["train"], "test": cfg["test"]},
+                       runtime_seconds=time.perf_counter() - t0)
+    return outdir
+
+
+def _cmd_fit(cfg) -> int:
+    header = _given(cfg, has_header="header")
+    train = nio.load_multivariate(cfg["train"], has_labels=True, **header)
+    test = nio.load_multivariate(cfg["test"], **header)
+    p = train.dim
+    nu = float(max(p + 2, 10))  # default degrees of freedom of both NIW laws
+    m0 = [float(x) for x in _get(cfg, "m0", "0").split(",")]
+    base_measure = NIWParams(np.full(p, m0[0]) if len(m0) == 1 else np.asarray(m0),
+                             _get(cfg, "lambda0", 0.01), _get(cfg, "nu0", nu),
+                             _get(cfg, "s0-scale", 10.0) * np.eye(p))
+    hp = _chain_settings(Hyperparameters, cfg, train.class_sizes, 20000, 10000,
+                         lambda_tr=_get(cfg, "lambda-tr", 10.0),
+                         nu_tr=_get(cfg, "nu-tr", nu), base_measure=base_measure)
     mcd = _mcd_config(cfg)
 
     def run():
         priors = extract_class_priors(train, mcd)
-        nio.summaries_to_json(priors, outdir / "priors.json")
         output = run_chain(test, priors, hp)
-        return output, _summarize(cfg, output)
+        return (output, _summarize(cfg, output),
+                lambda outdir: nio.summaries_to_json(priors, outdir / "priors.json"))
 
-    _fit_common(cfg, outdir, run,
-                {"train": cfg["train"], "test": cfg["test"]}, hp.seed)
+    outdir = _fit_common(cfg, run, hp.seed)
     print(f"fit complete; outputs under {outdir}")
     return 0
 
 
-def _cmd_fit_functional(args) -> int:
-    cfg = _merged_config(args)
-    for key in ("train", "test"):
-        if key not in cfg:
-            print(f"fit-functional requires --{key}", file=sys.stderr)
-            return USAGE_EXIT
-    outdir = Path(cfg.get("outdir", "run"))
-    layout = cfg.get("layout", "wide")
-    train = nio.load_curves(cfg["train"], layout=layout, has_labels=True)
-    test = nio.load_curves(cfg["test"], layout=layout)
-    basis = BasisSpec(n_basis=_get(cfg, "n-basis", int, 100),
-                      order=_get(cfg, "order", int, 5))
-    hyper = _chain_settings(
-        FunctionalHyper, cfg, np.bincount(train.labels)[1:], 10000, 5000,
-        a_tau=_get(cfg, "a-tau", float, 3.0),
-        b_tau=_get(cfg, "b-tau", float, 1.0),
-        s2=_get(cfg, "s2", float, 1.0),
-        a_H=_get(cfg, "a-h", float, 5.0),
-        b_H=_get(cfg, "b-h", float, 1.0),
-        basis=basis)
+def _cmd_fit_functional(cfg) -> int:
+    layout = _given(cfg, "layout")
+    train = nio.load_curves(cfg["train"], has_labels=True, **layout)
+    test = nio.load_curves(cfg["test"], **layout)
+    basis = BasisSpec(**_given(cfg, "n_basis", "order"))
+    hyper = _chain_settings(FunctionalHyper, cfg, np.bincount(train.labels)[1:], 10000, 5000,
+                            basis=basis, **_given(cfg, "a_tau", "b_tau", "s2", "a_H", "b_H"))
     mcd = _mcd_config(cfg)
-    phi, v = _get(cfg, "phi", float, 0.0), _get(cfg, "v", float, 0.0)
-    if min(phi, v) < 0:
-        raise ValueError("phi and v must be non-negative")
 
     def run():
-        priors = extract_functional_priors(train, basis, mcd, phi=phi, v=v)
+        priors = extract_functional_priors(train, basis, mcd, **_given(cfg, "phi", "v"))
         output = run_functional_chain(test, priors, hyper)
         summary = _summarize(cfg, output)
-        # per-cluster mean curves for the novelty partition
-        _write_cluster_means(outdir, test, summary)
-        return output, summary
+        return output, summary, lambda outdir: _write_cluster_means(outdir, test, summary)
 
-    _fit_common(cfg, outdir, run,
-                {"train": cfg["train"], "test": cfg["test"]}, hyper.seed)
+    outdir = _fit_common(cfg, run, hyper.seed)
     print(f"functional fit complete; outputs under {outdir}")
     return 0
 
 
 def _write_cluster_means(outdir: Path, test, summary):
-    outdir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    ids = np.unique(summary.best_partition)
-    for s in ids:
-        members = summary.novelty_units[summary.best_partition == s]
-        rows.append((int(s), test.values[members].mean(axis=0)))
+    """Mean curve of each novelty cluster of the best partition."""
     with open(outdir / "novelty_cluster_means.csv", "w") as fh:
         fh.write("cluster," + ",".join(repr(float(t)) for t in test.grid) + "\n")
-        for s, curve in rows:
-            fh.write(f"{s}," + ",".join(repr(float(x)) for x in curve) + "\n")
+        for s in np.unique(summary.best_partition):
+            members = summary.novelty_units[summary.best_partition == s]
+            curve = test.values[members].mean(axis=0)
+            fh.write(f"{int(s)}," + ",".join(repr(float(x)) for x in curve) + "\n")
 
 
-def _cmd_summarize(args) -> int:
-    cfg = _merged_config(args)
-    chain_dir = cfg.get("chain-dir")
-    if not chain_dir:
-        print("summarize requires --chain-dir", file=sys.stderr)
-        return USAGE_EXIT
+def _cmd_summarize(cfg) -> int:
+    chain_dir = cfg["chain-dir"]
     summary = _summarize(cfg, nio.load_chain(chain_dir))
     dest = Path(cfg.get("outdir", Path(chain_dir).parent / "summary"))
     nio.save_summary(summary, dest)
@@ -245,12 +237,7 @@ def _cmd_summarize(args) -> int:
     return 0
 
 
-def _cmd_metrics(args) -> int:
-    cfg = _merged_config(args)
-    for key in ("labels", "truth", "n-known"):
-        if key not in cfg:
-            print(f"metrics requires --{key}", file=sys.stderr)
-            return USAGE_EXIT
+def _cmd_metrics(cfg) -> int:
     labels = []
     with open(cfg["labels"]) as fh:
         if not fh.readline():
@@ -261,8 +248,7 @@ def _cmd_metrics(args) -> int:
                 raise ParseError(f"{cfg['labels']}: row {lineno} has no label column")
             labels.append(int(fields[1]))
     truth = [int(float(x)) for x in Path(cfg["truth"]).read_text().split()]
-    J = int(cfg["n-known"])
-    known = list(range(1, J + 1))
+    known = list(range(1, _get(cfg, "n-known") + 1))
     out = {
         "ari": ari(labels, truth),
         "novelty_precision": novelty_precision(labels, truth, known),
@@ -276,118 +262,84 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-def _cmd_fetch(args) -> int:
-    cfg = _merged_config(args)
-    name = cfg.get("name")
-    if not name:
-        print("fetch requires --name", file=sys.stderr)
-        return USAGE_EXIT
+def _cmd_fetch(cfg) -> int:
+    name = cfg["name"]
     source = nio.DATASET_SOURCES.get(name)
     if source is None:
         print(f"unknown dataset {name!r}", file=sys.stderr)
         return USAGE_EXIT
     print(f"{name}: {source['notes']}\nsource: {source['url']}")
-    dest = cfg.get("dest", f"{name}.txt")
-    path = nio.fetch_dataset(name, dest)
+    path = nio.fetch_dataset(name, cfg.get("dest", f"{name}.txt"))
     print(f"saved to {path} (sha256 {nio.file_sha256(path)})")
     return 0
 
 
 # ---------------------------------------------------------------------------
 
+class _Command(NamedTuple):
+    run: Callable
+    help: str
+    options: tuple  # in --help order, after --config, --seed and --outdir
+    required: tuple = ()
+
+
+_FIT_OPTIONS = ("train", "test", "eta", "n-starts", "a0", "kappa", "n-iter", "n-burnin",
+                "gamma-fixed", "ppn-threshold", "min-size", "trace-format")
+
+_COMMANDS = {
+    "simulate": _Command(_cmd_simulate, "generate the synthetic benchmark",
+                         ("scenario", "label-noise")),
+    "extract-priors": _Command(_cmd_extract_priors, "stage I only",
+                               ("train", "eta", "n-starts", "out"), ("train",)),
+    "fit": _Command(_cmd_fit, "fit: stage I + sampler + post-processing",
+                    _FIT_OPTIONS + ("lambda-tr", "nu-tr", "lambda0", "nu0", "s0-scale",
+                                    "m0", "header"),
+                    ("train", "test")),
+    "fit-functional": _Command(_cmd_fit_functional,
+                               "fit-functional: stage I + sampler + post-processing",
+                               _FIT_OPTIONS + ("n-basis", "order", "a-tau", "b-tau", "s2",
+                                               "a-h", "b-h", "phi", "v", "layout"),
+                               ("train", "test")),
+    "summarize": _Command(_cmd_summarize, "recompute the posterior summary",
+                          ("chain-dir", "ppn-threshold", "min-size"), ("chain-dir",)),
+    "metrics": _Command(_cmd_metrics, "score labels against ground truth",
+                        ("labels", "truth", "n-known", "out"), ("labels", "truth", "n-known")),
+    "fetch": _Command(_cmd_fetch, "download a public benchmark table",
+                      ("name", "dest"), ("name",)),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="novelbayes",
                      description="two-stage robust Bayesian novelty detection")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="generate the synthetic benchmark")
-    _add_common(p)
-    p.add_argument("--scenario", choices=["notsmall", "small"])
-    p.add_argument("--label-noise", action="store_const", const="true")
-
-    p = sub.add_parser("extract-priors", help="stage I only")
-    _add_common(p)
-    p.add_argument("--train")
-    p.add_argument("--eta", type=float)
-    p.add_argument("--n-starts", type=int)
-    p.add_argument("--out")
-
-    for name in ("fit", "fit-functional"):
-        p = sub.add_parser(name, help=f"{name}: stage I + sampler + post-processing")
-        _add_common(p)
-        p.add_argument("--train")
-        p.add_argument("--test")
-        p.add_argument("--eta", type=float)
-        p.add_argument("--n-starts", type=int)
-        p.add_argument("--a0", type=float)
-        p.add_argument("--kappa", type=float)
-        p.add_argument("--n-iter", type=int)
-        p.add_argument("--n-burnin", type=int)
-        p.add_argument("--gamma-fixed", type=float)
-        p.add_argument("--ppn-threshold", type=float)
-        p.add_argument("--min-size", type=int)
-        p.add_argument("--trace-format", choices=nio.TRACE_FORMATS)
-        if name == "fit":
-            p.add_argument("--lambda-tr", type=float)
-            p.add_argument("--nu-tr", type=float)
-            p.add_argument("--lambda0", type=float)
-            p.add_argument("--nu0", type=float)
-            p.add_argument("--s0-scale", type=float)
-            p.add_argument("--m0")
-            p.add_argument("--header", action="store_const", const="true")
-        else:
-            p.add_argument("--n-basis", type=int)
-            p.add_argument("--order", type=int)
-            p.add_argument("--a-tau", type=float)
-            p.add_argument("--b-tau", type=float)
-            p.add_argument("--s2", type=float)
-            p.add_argument("--a-h", type=float)
-            p.add_argument("--b-h", type=float)
-            p.add_argument("--phi", type=float)
-            p.add_argument("--v", type=float)
-            p.add_argument("--layout", choices=["wide", "long"])
-
-    p = sub.add_parser("summarize", help="recompute the posterior summary")
-    _add_common(p)
-    p.add_argument("--chain-dir")
-    p.add_argument("--ppn-threshold", type=float)
-    p.add_argument("--min-size", type=int)
-
-    p = sub.add_parser("metrics", help="score labels against ground truth")
-    _add_common(p)
-    p.add_argument("--labels")
-    p.add_argument("--truth")
-    p.add_argument("--n-known", type=int)
-    p.add_argument("--out")
-
-    p = sub.add_parser("fetch", help="download a public benchmark table")
-    _add_common(p)
-    p.add_argument("--name")
-    p.add_argument("--dest")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key in ("config", "seed", "outdir") + command.options:
+            option = _OPTIONS[key]
+            if option.type is _flag:
+                p.add_argument(f"--{key}", action="store_const", const="true")
+            else:
+                p.add_argument(f"--{key}", type=option.type, choices=option.choices,
+                               help=option.help)
     return parser
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "extract-priors": _cmd_extract_priors,
-    "fit": _cmd_fit,
-    "fit-functional": _cmd_fit_functional,
-    "summarize": _cmd_summarize,
-    "metrics": _cmd_metrics,
-    "fetch": _cmd_fetch,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    command = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)
+        cfg = _merged_config(args)
+        for key in command.required:
+            if cfg.get(key, "") == "":
+                print(f"{args.command} requires --{key}", file=sys.stderr)
+                return USAGE_EXIT
+        return command.run(cfg)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -371,26 +371,21 @@ def gibbs_step(state: ChainState, family, hp: ChainSettings,
     kappa = hp.kappa
 
     # 1. slice variables under the current memberships
-    zeta = alpha_beta_to_zeta(state.alpha, state.beta, J) if M else np.zeros(0, dtype=int)
-    xi_cur = xi_values(kappa, J, max(int(zeta.max()), J + 1) if M else J + 1)
-    if M:
-        r = np.maximum(rng.random(M), 1e-300)  # keep u strictly positive
-        u = r * xi_cur[zeta - 1]
-    else:
-        u = np.zeros(0)
+    zeta = alpha_beta_to_zeta(state.alpha, state.beta, J)
+    xi_cur = xi_values(kappa, J, int(zeta.max(initial=J + 1)))
+    r = np.maximum(rng.random(M), 1e-300)  # keep u strictly positive
+    u = r * xi_cur[zeta - 1]
 
     # 2. stochastic truncation; never below the currently occupied components
     L = max(truncation_level(u, kappa, J), int(zeta.max())) if M else J + 1
 
     # 3. mixture weights over novelty + known classes
-    counts = np.bincount(state.alpha, minlength=J + 1)[:J + 1] if M \
-        else np.zeros(J + 1, dtype=int)
+    counts = np.bincount(state.alpha, minlength=J + 1)[:J + 1]
     pi = rng.dirichlet(hp.a + counts)
 
     # 4-5. sticks and their weights
     K = L - J
-    n_k, g_k = _stick_posterior_counts(state.beta, K) if M \
-        else (np.zeros(K, dtype=int), np.zeros(K, dtype=int))
+    n_k, g_k = _stick_posterior_counts(state.beta, K)
     v = rng.beta(1.0 + n_k, state.gamma + g_k)
 
     # 6. one-line weights over the L active components

@@ -1,9 +1,14 @@
 import json
+import re
+import urllib.error
+import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import novelbayes.io as nio
+from novelbayes import cli
 from novelbayes.cli import main
 from novelbayes.functional import CurveSet
 
@@ -127,6 +132,31 @@ class TestFunctionalPipeline:
         assert all(l < 0 for l in labels[6:])
 
 
+def _fit_argv(command, sim_dir, tmp_path):
+    """A quick fit or fit-functional run on small inputs, without --outdir."""
+    if command == "fit":
+        return [command, "--train", str(sim_dir / "train.csv"),
+                "--test", str(sim_dir / "test.csv"), "--n-starts", "20"]
+    _write_curve_files(tmp_path)
+    return [command, "--train", str(tmp_path / "train.csv"),
+            "--test", str(tmp_path / "test.csv"), "--n-basis", "8", "--order", "3"]
+
+
+def _unlike_test_file(command, sim_dir, tmp_path):
+    """Replace the run's test file by one the trained model cannot score: an
+    extra column for fit, another time grid for fit-functional."""
+    argv = _fit_argv(command, sim_dir, tmp_path)
+    test = tmp_path / "unlike.csv"
+    if command == "fit":
+        data = nio.load_multivariate(sim_dir / "test.csv").data
+        nio.write_multivariate(test, np.hstack([data, data[:, :1]]))
+    else:
+        grid = np.linspace(0, 1, 30)
+        nio.write_curves(test, CurveSet(grid, np.sin(2 * np.pi * grid)[None, :]))
+    argv[argv.index("--test") + 1] = str(test)
+    return argv + ["--n-iter", "3", "--n-burnin", "1"]
+
+
 class TestErrorPaths:
     def test_missing_test_file(self, sim_dir, tmp_path):
         code = run_cli("fit", "--train", str(sim_dir / "train.csv"),
@@ -139,6 +169,27 @@ class TestErrorPaths:
 
     def test_fit_without_inputs_is_usage_error(self, tmp_path):
         assert run_cli("fit", "--outdir", str(tmp_path)) == 1
+
+    def test_extract_priors_without_train_is_usage_error(self, capsys):
+        assert run_cli("extract-priors") == 1
+        assert "extract-priors requires --train" in capsys.readouterr().err
+
+    def test_fetch_without_network_is_data_error(self, tmp_path, monkeypatch, capsys):
+        def offline(*args, **kwargs):
+            raise urllib.error.URLError("network is unreachable")
+
+        monkeypatch.setattr(urllib.request, "urlopen", offline)
+        dest = tmp_path / "seeds.txt"
+        assert run_cli("fetch", "--name", "seeds", "--dest", str(dest)) == 2
+        assert "network is unreachable" in capsys.readouterr().err
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "fit-functional"])
+    def test_unlike_test_file_leaves_no_run_directory(self, command, sim_dir, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli(*_unlike_test_file(command, sim_dir, tmp_path),
+                       "--outdir", str(out)) == 2
+        assert not out.exists()
 
     def test_negative_burnin_stops_before_stage_one(self, sim_dir, tmp_path, capsys):
         out = tmp_path / "neg"
@@ -188,16 +239,20 @@ class TestErrorPaths:
         assert "phi" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_trace_format_in_config_stops_before_output_directory(
-            self, sim_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("command,line,key", [
+        ("fit", "trace-format = xyz", "trace-format"),
+        ("fit", "n-iter = abc", "n-iter"),
+        ("fit-functional", "layout = diagonal", "layout"),
+    ], ids=["trace-format", "n-iter", "layout"])
+    def test_bad_config_value_stops_before_output_directory(
+            self, command, line, key, sim_dir, tmp_path, capsys):
         conf = tmp_path / "run.conf"
-        conf.write_text("trace-format = xyz\n")
-        out = tmp_path / "fmt"
-        code = run_cli("fit", "--config", str(conf), "--train", str(sim_dir / "train.csv"),
-                       "--test", str(sim_dir / "test.csv"), "--outdir", str(out),
-                       "--n-starts", "20", "--n-iter", "3", "--n-burnin", "1")
+        conf.write_text(line + "\n")
+        out = tmp_path / "bad"
+        code = run_cli(*_fit_argv(command, sim_dir, tmp_path), "--config", str(conf),
+                       "--outdir", str(out))
         assert code == 2
-        assert "trace-format" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
         assert not out.exists()
 
     def test_empty_labels_file_is_data_error(self, sim_dir, tmp_path, capsys):
@@ -252,3 +307,16 @@ class TestManifestDeterminism:
             b1 = (d / "r1" / rel).read_bytes()
             b2 = (d / "r2" / rel).read_bytes()
             assert b1 == b2, rel
+
+
+def test_readme_configuration_lists_every_fit_option():
+    """Every option of both fit commands, and the config-only keys, appear in
+    the README's Configuration section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Configuration", 1)[1].split("\n#", 1)[0]
+    named = {token.lstrip("-") for token in re.findall(r"`([^`]+)`", section)}
+    keys = {"config", "seed", "outdir", "max-csteps", "gamma-shape", "gamma-rate"}
+    for command in ("fit", "fit-functional"):
+        keys.update(cli._COMMANDS[command].options)
+    assert keys <= set(cli._OPTIONS)
+    assert sorted(keys - named) == []
