@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import DimensionMismatch, GridMismatch, InvalidKnots, RankDeficientBasis
-from .model import ChainSettings, _chol
+from .model import ChainSettings, _chol, _cho_solve, _solve_triangular
 from .robust import LabeledDataset, McdConfig, extract_class_priors
 from .sampler import ChainOutput, _run_gibbs
 
@@ -255,7 +254,7 @@ def coef_conditional(y_sum: np.ndarray, n: int, Phi: np.ndarray,
     prec = np.eye(B) / tau2 + n * (Phi.T * D) @ Phi
     lin = np.full(B, psi / tau2) + Phi.T @ (D * y_sum)
     L = _chol(prec)
-    mean = cho_solve((L, True), lin)
+    mean = _cho_solve(L, lin)
     return mean, L
 
 
@@ -357,7 +356,7 @@ class CurveFamily:
             prev = _prior_novel_atom(rng, hyper, Phi)
         Y = self.data[members]
         mean, Lp = coef_conditional(Y.sum(axis=0), n, Phi, prev.sigma2, prev.psi, prev.tau2)
-        rho = mean + solve_triangular(Lp.T, rng.standard_normal(Phi.shape[1]), lower=False)
+        rho = mean + _solve_triangular(Lp.T, rng.standard_normal(Phi.shape[1]), lower=False)
         m_psi, v_psi = psi_conditional(rho, prev.tau2, hyper.s2)
         psi = float(rng.normal(m_psi, math.sqrt(v_psi)))
         tau2 = float(_sample_ig(rng, *tau2_conditional(rho, psi, hyper.a_tau, hyper.b_tau)))

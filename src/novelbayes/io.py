@@ -293,9 +293,10 @@ def fetch_dataset(name: str, dest) -> Path:
     dest = Path(dest)
     digest = source["sha256"]
     if not dest.exists():
-        dest.parent.mkdir(parents=True, exist_ok=True)
         with urllib.request.urlopen(source["url"], timeout=60) as resp:
-            dest.write_bytes(resp.read())
+            body = resp.read()
+        dest.parent.mkdir(parents=True, exist_ok=True)  # only once the download succeeded
+        dest.write_bytes(body)
     actual = file_sha256(dest)
     if digest and actual != digest:
         raise ParseError(f"{dest}: sha256 {actual} does not match expected {digest}")

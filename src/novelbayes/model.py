@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from .errors import EmptySlice, NotPositiveDefinite
 
@@ -61,21 +61,6 @@ class NIWParams:
         (the parameters are not changed after construction)."""
         return np.asarray_chkfinite(_chol(self.scale_matrix))
 
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean.tolist(),
-            "precision_scale": float(self.precision_scale),
-            "dof": float(self.dof),
-            "scale_matrix": self.scale_matrix.ravel().tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NIWParams":
-        mean = np.asarray(d["mean"], dtype=float)
-        p = mean.size
-        scale = np.asarray(d["scale_matrix"], dtype=float).reshape(p, p)
-        return cls(mean, float(d["precision_scale"]), float(d["dof"]), scale)
-
 
 @dataclass
 class GaussianAtom:
@@ -90,12 +75,6 @@ class GaussianAtom:
 
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "cov": self.cov.ravel().tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GaussianAtom":
-        mean = np.asarray(d["mean"], dtype=float)
-        p = mean.size
-        return cls(mean, np.asarray(d["cov"], dtype=float).reshape(p, p))
 
 
 @dataclass(frozen=True)
@@ -292,23 +271,33 @@ def _chol(cov: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite("covariance is not positive definite") from exc
 
 
-def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.solve_triangular(L, B, lower=True)`` for float64
+def _solve_triangular(A: np.ndarray, B: np.ndarray, lower: bool = True) -> np.ndarray:
+    """``scipy.linalg.solve_triangular(A, B, lower=lower)`` for float64
     arrays, without the wrapper's per-call overhead.
 
     Makes the LAPACK call the wrapper makes, so the result is bit-identical,
-    and raises the wrapper's error for a singular ``L``.  The wrapper also
+    and raises the wrapper's error for a singular ``A``.  The wrapper also
     rejects non-finite arrays (ValueError); callers check, with
     ``np.asarray_chkfinite``, whichever of their inputs can be non-finite.
     """
-    if L.flags.f_contiguous:  # also every 1 x 1 factor
-        x, info = dtrtrs(L, B, lower=1)
-    else:  # a C-ordered factor: solve the transposed upper system
-        x, info = dtrtrs(L.T, B, lower=0, trans=1)
+    if A.flags.f_contiguous:  # also every 1 x 1 factor
+        x, info = dtrtrs(A, B, lower=int(lower))
+    else:  # a C-ordered factor: solve the transposed system
+        x, info = dtrtrs(A.T, B, lower=int(not lower), trans=1)
     if info > 0:
         raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
+
+
+def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.cho_solve((L, True), b)`` for float64 arrays: the
+    wrapper's LAPACK call, finiteness check and error, without its
+    per-call overhead."""
+    x, info = dpotrs(np.asarray_chkfinite(L), np.asarray_chkfinite(b), lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
     return x
 
 
@@ -318,7 +307,7 @@ def _mahalanobis_chol(X: np.ndarray, mean: np.ndarray, cov: np.ndarray):
     (the data are checked when loaded); numpy passes a NaN or inf in ``cov``
     through to the factor, so the factor and ``mean`` are checked here."""
     L = np.asarray_chkfinite(_chol(cov))
-    Z = _solve_lower(L, (X - np.asarray_chkfinite(mean)).T)
+    Z = _solve_triangular(L, (X - np.asarray_chkfinite(mean)).T)
     return (Z * Z).sum(axis=0), L
 
 
@@ -369,12 +358,6 @@ class PriorMoments:
     @property
     def a_total(self) -> float:
         return float(self.a.sum())
-
-    def varrho(self, gamma: float) -> np.ndarray:
-        """Weight vector (1/(1+gamma), 1, ..., 1) entering the tie probability."""
-        out = np.ones_like(self.a)
-        out[0] = 1.0 / (1.0 + gamma)
-        return out
 
 
 def prior_mean(moments: PriorMoments) -> float:

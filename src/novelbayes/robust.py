@@ -22,7 +22,7 @@ from .errors import (
     NumericalError,
     SingularSubset,
 )
-from .model import _chol, _mahalanobis_chol, _solve_lower
+from .model import _chol, _mahalanobis_chol, _solve_triangular
 
 _DET_TOL = 1e-9  # relative slack when checking the C-step descent property
 _MAX_CONDITION = 1000.0  # bound on the condition number of an MRCD scatter
@@ -351,7 +351,7 @@ def mrcd(data: np.ndarray, cfg: McdConfig,
 
     # whiten so the target is the identity
     C = np.asarray_chkfinite(_chol(target))
-    Xw = _solve_lower(C, X.T).T
+    Xw = _solve_triangular(C, X.T).T
 
     c0 = consistency_factor(cfg.eta, p)
     if rng is None:

@@ -1,12 +1,15 @@
 """Conditional Gibbs sampler for the test-set mixture with a nonparametric
 novelty term, shared by every atom family.
 
-One scan follows the slice-sampling recipe: uniform slice variables under
-the deterministic sequence, stochastic truncation, conjugate updates for the
-mixture weights, the sticks and every atom, a categorical reallocation of
-each unit over the finitely many eligible components, and the concentration
-update.  A chain adds the chi-square start, a label-swap sweep before every
-scan, and the post-burn-in traces.  A chain is a pure function of
+The chain state gives each unit one membership index zeta on the one-line
+sequence: 1..J are the known classes, J + k is novelty stick k.  One scan
+is a label-swap sweep of adjacent novelty clusters followed by the
+slice-sampling recipe: uniform slice variables under the deterministic
+sequence, stochastic truncation, conjugate updates for the mixture weights,
+the sticks and every atom, a categorical reallocation of each unit over the
+finitely many eligible components, and the concentration update.  A chain
+adds the chi-square start and the post-burn-in traces, which store zeta as
+the (known class, novelty cluster) pair.  A chain is a pure function of
 (data, priors, hyperparameters, seed).
 
 Only the atoms depend on the model.  An atom family holds the data matrix
@@ -45,8 +48,7 @@ from .model import (
     Hyperparameters,
     NIWParams,
     _mahalanobis_chol,
-    _solve_lower,
-    alpha_beta_to_zeta,
+    _solve_triangular,
     log_gaussian_density_many,
     stick_breaking,
     truncation_level,
@@ -79,14 +81,14 @@ class TestDataset:
 
 @dataclass
 class ChainState:
-    """All latent quantities carried between Gibbs iterations."""
+    """All latent quantities carried between Gibbs iterations; ``zeta`` holds
+    each unit's membership index on the one-line sequence."""
 
     pi: np.ndarray
     v: np.ndarray
     known_atoms: list
     novel_atoms: list
-    alpha: np.ndarray
-    beta: np.ndarray
+    zeta: np.ndarray
     u: np.ndarray
     L_star: int
     gamma: float
@@ -176,7 +178,7 @@ def sample_niw(params: NIWParams, rng: np.random.Generator) -> GaussianAtom:
     if p > 1:
         A[tril] = rng.standard_normal(p * (p - 1) // 2)
     # cov = C (A A^T)^{-1} C^T
-    M = _solve_lower(A, C.T).T
+    M = _solve_triangular(A, C.T).T
     cov = M @ M.T
     cov = 0.5 * (cov + cov.T)
     mean = params.mean + (M @ rng.standard_normal(p)) / math.sqrt(params.precision_scale)
@@ -213,10 +215,11 @@ def update_gamma(current: float, n_novel: int, k_novel: int,
 _SWAP_SWEEPS = 3  # passes over the adjacent pairs per label-swap sweep
 
 
-def _label_swap_sweep(beta: np.ndarray, atoms: list, v: np.ndarray,
-                      rng: np.random.Generator):
-    """Metropolis swaps of adjacent novelty labels; each cluster moves with
-    its atom, its members, and its stick fraction.
+def _label_swap_sweep(zeta: np.ndarray, atoms: list, v: np.ndarray, n_known: int,
+                      rng: np.random.Generator) -> None:
+    """Metropolis swaps of adjacent novelty labels, in place; each cluster
+    moves with its atom, its members (zeta = n_known + k for stick k), and
+    its stick fraction.  ``atoms`` and ``v`` hold one entry per stick.
 
     Stick fractions are iid a priori and the likelihood moves with the
     atoms, so the acceptance ratio reduces to the allocation-prior factor
@@ -225,13 +228,13 @@ def _label_swap_sweep(beta: np.ndarray, atoms: list, v: np.ndarray,
     toward low indices, keeping the stochastic truncation level (and with
     it the per-iteration cost) small.  The posterior is exactly preserved.
     """
-    K = v.size
+    J, K = n_known, v.size
     if K < 2:
-        return beta, atoms, v
-    counts = np.bincount(beta[beta > 0], minlength=K + 1)[1:K + 1]
+        return
+    counts = np.bincount(zeta, minlength=J + K + 1)[J + 1:J + K + 1]
     occupied = np.flatnonzero(counts > 0)
     if occupied.size == 0:
-        return beta, atoms, v
+        return
     top = int(occupied.max()) + 1
     with np.errstate(divide="ignore"):
         log1mv = np.log1p(-v)
@@ -244,17 +247,15 @@ def _label_swap_sweep(beta: np.ndarray, atoms: list, v: np.ndarray,
             log_ratio = (n1 * log1mv[k + 1] if n1 else 0.0) \
                 - (n2 * log1mv[k] if n2 else 0.0)
             if math.log(max(rng.random(), 1e-300)) < log_ratio:
-                lo, hi = beta == k + 1, beta == k + 2
-                beta[lo], beta[hi] = k + 2, k + 1
+                lo, hi = zeta == J + k + 1, zeta == J + k + 2
+                zeta[lo], zeta[hi] = J + k + 2, J + k + 1
                 counts[k], counts[k + 1] = n2, n1
                 v[k], v[k + 1] = v[k + 1], v[k]
                 log1mv[k], log1mv[k + 1] = log1mv[k + 1], log1mv[k]
-                if k + 1 < len(atoms):
-                    atoms[k], atoms[k + 1] = atoms[k + 1], atoms[k]
+                atoms[k], atoms[k + 1] = atoms[k + 1], atoms[k]
                 moved = True
         if not moved:
             break
-    return beta, atoms, v
 
 
 def _sample_allocations(rng, log_lik, weights, u, xi) -> np.ndarray:
@@ -272,17 +273,11 @@ def _sample_allocations(rng, log_lik, weights, u, xi) -> np.ndarray:
     return np.argmax(logits + rng.gumbel(size=logits.shape), axis=1) + 1
 
 
-def _members(labels: np.ndarray, n: int) -> list:
-    """Increasing row indices of each label 1..n, from one stable sort."""
+def _members(labels: np.ndarray, counts: np.ndarray) -> list:
+    """Increasing row indices of each label 1..n, from one stable sort;
+    ``counts`` is ``np.bincount(labels)`` padded to length n + 1."""
     order = np.argsort(labels, kind="stable")
-    bounds = np.cumsum(np.bincount(labels, minlength=n + 1))
-    return np.split(order, bounds[:n])[1:]
-
-
-def _stick_posterior_counts(beta: np.ndarray, n_sticks: int):
-    counts = np.bincount(beta[beta > 0], minlength=n_sticks + 1)[1:n_sticks + 1]
-    greater = counts[::-1].cumsum()[::-1] - counts
-    return counts, greater
+    return np.split(order, np.cumsum(counts)[:-1])[1:]
 
 
 def _training_niw(summary: RobustClassSummary, hp: Hyperparameters) -> NIWParams:
@@ -360,18 +355,21 @@ class GaussianFamily:
 
 def gibbs_step(state: ChainState, family, hp: ChainSettings,
                rng: np.random.Generator) -> ChainState:
-    """Advance the chain by one full scan.
+    """Advance the chain by one full scan; ``state`` is left unchanged.
 
-    Step order: slice variables, truncation level, mixture weights, sticks,
-    one-line weights, known atoms, novel atoms, allocations, membership
-    split, concentration parameter.
+    Step order: label swap, slice variables, truncation level, mixture
+    weights, sticks, one-line weights, known atoms, novel atoms,
+    allocations, concentration parameter.
     """
     J = hp.n_known
-    M = state.alpha.size
     kappa = hp.kappa
+    zeta, v, prev = state.zeta.copy(), state.v.copy(), list(state.novel_atoms)
+    M = zeta.size
+
+    # 0. label swap: clusters, atoms and sticks move together
+    _label_swap_sweep(zeta, prev, v, J, rng)
 
     # 1. slice variables under the current memberships
-    zeta = alpha_beta_to_zeta(state.alpha, state.beta, J)
     xi_cur = xi_values(kappa, J, int(zeta.max(initial=J + 1)))
     r = np.maximum(rng.random(M), 1e-300)  # keep u strictly positive
     u = r * xi_cur[zeta - 1]
@@ -380,47 +378,40 @@ def gibbs_step(state: ChainState, family, hp: ChainSettings,
     L = max(truncation_level(u, kappa, J), int(zeta.max())) if M else J + 1
 
     # 3. mixture weights over novelty + known classes
-    counts = np.bincount(state.alpha, minlength=J + 1)[:J + 1]
-    pi = rng.dirichlet(hp.a + counts)
+    counts = np.bincount(zeta, minlength=L + 1)
+    n_k = counts[J + 1:]
+    pi = rng.dirichlet(hp.a + np.concatenate(([n_k.sum()], counts[1:J + 1])))
 
-    # 4-5. sticks and their weights
-    K = L - J
-    n_k, g_k = _stick_posterior_counts(state.beta, K)
+    # 4-5. sticks: n_k units on stick k, g_k units on the sticks after it
+    g_k = n_k[::-1].cumsum()[::-1] - n_k
     v = rng.beta(1.0 + n_k, state.gamma + g_k)
 
     # 6. one-line weights over the L active components
     pitilde = np.concatenate([pi[1:], pi[0] * stick_breaking(v)])
 
     # 7-8. known-class atoms, then novelty atoms, each from its members
-    known = [family.draw_known(j, members, atom, rng)
-             for j, (members, atom) in enumerate(zip(_members(state.alpha, J),
-                                                     state.known_atoms))]
-    prev = state.novel_atoms
-    novel = [family.draw_novel(members, prev[h] if h < len(prev) else None, rng)
-             for h, members in enumerate(_members(state.beta, K))]
+    members = _members(zeta, counts)
+    known = [family.draw_known(j, rows, atom, rng)
+             for j, (rows, atom) in enumerate(zip(members[:J], state.known_atoms))]
+    novel = [family.draw_novel(rows, prev[h] if h < len(prev) else None, rng)
+             for h, rows in enumerate(members[J:])]
 
-    # 9-10. allocation over eligible components
+    # 9. allocation over eligible components
     if M:
         xi = xi_values(kappa, J, L)
         eligible = u[:, None] < xi[None, :]
-        zeta_new = _sample_allocations(rng, family.loglik(known, novel, eligible),
-                                       pitilde, u, xi)
-        alpha, beta = zeta_to_alpha_beta(zeta_new, J)
-    else:
-        alpha = np.zeros(0, dtype=int)
-        beta = np.zeros(0, dtype=int)
+        zeta = _sample_allocations(rng, family.loglik(known, novel, eligible),
+                                   pitilde, u, xi)
 
-    # concentration parameter
+    # 10. concentration parameter, from the new novelty partition
     gamma = state.gamma
     if hp.gamma_is_random:
-        n_novel = int(np.sum(alpha == 0))
-        k_novel = int(np.unique(beta[beta > 0]).size)
-        gamma = update_gamma(gamma, n_novel, k_novel,
+        labels = zeta[zeta > J]
+        gamma = update_gamma(gamma, labels.size, np.unique(labels).size,
                              hp.gamma.shape, hp.gamma.rate, rng)
 
-    return ChainState(pi=pi, v=v, known_atoms=known,
-                      novel_atoms=novel, alpha=alpha, beta=beta, u=u,
-                      L_star=L, gamma=gamma)
+    return ChainState(pi=pi, v=v, known_atoms=known, novel_atoms=novel,
+                      zeta=zeta, u=u, L_star=L, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -441,19 +432,16 @@ def _initial_state(family, hp: ChainSettings) -> ChainState:
     from scipy.stats import chi2
 
     M = family.data.shape[0]
-    alpha = np.zeros(M, dtype=int)
-    beta = np.zeros(M, dtype=int)
+    zeta = np.zeros(0, dtype=int)
     if M:
         d2, df = family.start_distances()
-        best = np.argmin(d2, axis=1)
-        far = d2[np.arange(M), best] > chi2.ppf(0.999, df=df)
-        alpha = np.where(far, 0, best + 1)
-        beta[far] = 1 + np.arange(int(np.sum(far)))
+        zeta = np.argmin(d2, axis=1) + 1
+        far = d2[np.arange(M), zeta - 1] > chi2.ppf(0.999, df=df)
+        zeta[far] = hp.n_known + 1 + np.arange(np.count_nonzero(far))
     gamma = hp.gamma.mean if hp.gamma_is_random else float(hp.gamma)
     return ChainState(
-        pi=hp.a / hp.a.sum(), v=np.zeros(0),
-        known_atoms=family.initial_known(), novel_atoms=[], alpha=alpha,
-        beta=beta, u=np.zeros(M), L_star=hp.n_known + 1, gamma=gamma)
+        pi=hp.a / hp.a.sum(), v=np.zeros(0), known_atoms=family.initial_known(),
+        novel_atoms=[], zeta=zeta, u=np.zeros(M), L_star=hp.n_known + 1, gamma=gamma)
 
 
 def _run_gibbs(family, hp: ChainSettings, record_atoms: bool, **meta) -> ChainOutput:
@@ -466,7 +454,7 @@ def _run_gibbs(family, hp: ChainSettings, record_atoms: bool, **meta) -> ChainOu
     state = _initial_state(family, hp)
 
     n_keep = hp.n_iter - hp.n_burnin
-    M = state.alpha.size
+    M = state.zeta.size
     alpha_trace = np.empty((n_keep, M), dtype=np.int32)
     beta_trace = np.empty((n_keep, M), dtype=np.int32)
     pi_trace = np.empty((n_keep, J + 1))
@@ -475,14 +463,11 @@ def _run_gibbs(family, hp: ChainSettings, record_atoms: bool, **meta) -> ChainOu
     snapshots = [] if record_atoms else None
 
     for it in range(hp.n_iter):
-        state.beta, state.novel_atoms, state.v = _label_swap_sweep(
-            state.beta, state.novel_atoms, state.v, rng)
         state = gibbs_step(state, family, hp, rng)
         i = it - hp.n_burnin
         if i < 0:
             continue
-        alpha_trace[i] = state.alpha
-        beta_trace[i] = state.beta
+        alpha_trace[i], beta_trace[i] = zeta_to_alpha_beta(state.zeta, J)
         pi_trace[i] = state.pi
         gamma_trace[i] = state.gamma
         n_active_trace[i] = state.L_star

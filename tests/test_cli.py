@@ -179,10 +179,10 @@ class TestErrorPaths:
             raise urllib.error.URLError("network is unreachable")
 
         monkeypatch.setattr(urllib.request, "urlopen", offline)
-        dest = tmp_path / "seeds.txt"
+        dest = tmp_path / "new" / "dir" / "seeds.txt"
         assert run_cli("fetch", "--name", "seeds", "--dest", str(dest)) == 2
         assert "network is unreachable" in capsys.readouterr().err
-        assert not dest.exists()
+        assert not (tmp_path / "new").exists()
 
     @pytest.mark.parametrize("command", ["fit", "fit-functional"])
     def test_unlike_test_file_leaves_no_run_directory(self, command, sim_dir, tmp_path):

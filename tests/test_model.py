@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cho_solve, solve_triangular
 
 from novelbayes.errors import EmptySlice, NotPositiveDefinite
 from novelbayes.functional import FunctionalHyper
@@ -11,8 +13,9 @@ from novelbayes.model import (
     Hyperparameters,
     NIWParams,
     PriorMoments,
+    _cho_solve,
     _mahalanobis_chol,
-    _solve_lower,
+    _solve_triangular,
     alpha_beta_to_zeta,
     log_gaussian_density,
     log_gaussian_density_many,
@@ -102,6 +105,13 @@ class TestStickBreaking:
         assert np.all(w > 0)
         assert np.all(np.cumsum(w) < 1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), max_size=80))
+    def test_weights_sum_to_at_most_one(self, v):
+        w = stick_breaking(np.array(v))
+        assert np.all(w >= 0.0)
+        assert w.sum() <= 1.0 + 1e-12  # rounding of the running products
+
     def test_total_mass_monte_carlo(self):
         # E[sum of 1000 sticks] = 1 - 2^-1000 under Beta(1, 1)
         rng = np.random.default_rng(2)
@@ -121,6 +131,16 @@ class TestMembershipMapping:
         zeta = np.arange(1, 10001)
         alpha, beta = zeta_to_alpha_beta(zeta, J)
         assert np.all((alpha > 0) != (beta > 0))
+        assert np.array_equal(alpha_beta_to_zeta(alpha, beta, J), zeta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.lists(st.integers(1, 40), max_size=60))
+    def test_round_trip_property(self, J, labels):
+        zeta = np.array(labels, dtype=int)
+        alpha, beta = zeta_to_alpha_beta(zeta, J)
+        assert np.all((alpha > 0) != (beta > 0))
+        assert np.array_equal(alpha[alpha > 0], zeta[zeta <= J])
+        assert np.array_equal(beta[beta > 0], zeta[zeta > J] - J)
         assert np.array_equal(alpha_beta_to_zeta(alpha, beta, J), zeta)
 
     def test_exclusivity_rejected(self):
@@ -192,9 +212,38 @@ class TestSolveLower:
             B = (rng.normal(size=(n, p)) * 10.0).T  # the F-ordered distance case
             for factor in (L, np.asfortranarray(L)):
                 want = solve_triangular(factor, B, lower=True)
-                assert np.array_equal(_solve_lower(factor, B), want)
+                assert np.array_equal(_solve_triangular(factor, B), want)
             C = np.ascontiguousarray(B)  # the transposed factor in sample_niw
-            assert np.array_equal(_solve_lower(L, C), solve_triangular(L, C, lower=True))
+            assert np.array_equal(_solve_triangular(L, C), solve_triangular(L, C, lower=True))
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 30])
+    def test_upper_and_cholesky_solves_bitwise_equal_to_the_wrappers(self, p):
+        """The two solves of a curve coefficient draw: the conditional mean
+        from the precision factor, and the upper solve with its transpose."""
+        rng = np.random.default_rng(p)
+        for _ in range(25):
+            A = rng.normal(size=(p, p))
+            L = np.linalg.cholesky(A @ A.T + rng.uniform(0.01, 10.0) * np.eye(p))
+            b = rng.normal(size=p) * 10.0
+            assert np.array_equal(_cho_solve(L, b), cho_solve((L, True), b))
+            assert np.array_equal(_solve_triangular(L.T, b, lower=False),
+                                  solve_triangular(L.T, b, lower=False))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_cholesky_solve_rejects_what_the_wrapper_rejects(self, bad):
+        L, b = np.eye(3), np.ones(3)
+        for factor, rhs in ((L, np.array([1.0, bad, 1.0])), (np.diag([1.0, bad, 1.0]), b)):
+            want = _outcome(lambda: cho_solve((factor, True), rhs))
+            assert isinstance(want, tuple)
+            assert _outcome(lambda: _cho_solve(factor, rhs)) == want
+
+    def test_singular_upper_factor_raises_what_the_wrapper_raises(self):
+        U = np.triu(np.ones((3, 3))) + np.eye(3)
+        U[1, 1] = 0.0
+        for A in (U, np.asfortranarray(U)):
+            want = _outcome(lambda: solve_triangular(A, np.ones(3), lower=False))
+            assert isinstance(want, tuple)
+            assert _outcome(lambda: _solve_triangular(A, np.ones(3), lower=False)) == want
 
     def test_distances_match_the_wrapper_path(self):
         rng = np.random.default_rng(9)
@@ -213,7 +262,7 @@ class TestSolveLower:
         B = np.ones((p, 2))
         want = _outcome(lambda: solve_triangular(L, B, lower=True))
         assert isinstance(want, tuple)
-        assert _outcome(lambda: _solve_lower(L, B)) == want
+        assert _outcome(lambda: _solve_triangular(L, B)) == want
 
     def test_non_finite_mean_raises_what_the_wrapper_raised(self):
         X, cov = np.zeros((3, 2)), np.eye(2)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from novelbayes.model import (
     GammaPrior,
     Hyperparameters,
     NIWParams,
-    alpha_beta_to_zeta,
     log_gaussian_density_many,
     xi_values,
+    zeta_to_alpha_beta,
 )
 from novelbayes.robust import RobustClassSummary
 from novelbayes.sampler import (
@@ -21,6 +22,7 @@ from novelbayes.sampler import (
     GaussianFamily,
     TestDataset,
     _initial_state,
+    _label_swap_sweep,
     _sample_allocations,
     gibbs_step,
     niw_posterior,
@@ -289,12 +291,74 @@ class TestGibbsStep:
         crng = np.random.default_rng(3)
         for _ in range(50):
             state = gibbs_step(state, family, hp, crng)
-            zeta = alpha_beta_to_zeta(state.alpha, state.beta, 1)
+            zeta = state.zeta
+            assert np.all((zeta >= 1) & (zeta <= state.L_star))
             xi = xi_values(hp.kappa, 1, int(zeta.max()))
             assert np.all(state.u < xi[zeta - 1])
-            assert np.all((state.alpha > 0) != (state.beta > 0))
+            alpha, beta = zeta_to_alpha_beta(zeta, 1)
+            assert np.all((alpha > 0) != (beta > 0))
             assert state.L_star >= 2
             assert abs(state.pi.sum() - 1.0) < 1e-10
+
+
+@st.composite
+def _swap_case(draw):
+    """Memberships over J known classes and K sticks, one atom (its stick
+    index) and one stick fraction per stick, and a seed for the sweep."""
+    J = draw(st.integers(1, 3))
+    K = draw(st.integers(0, 8))
+    zeta = draw(st.lists(st.integers(1, J + K), max_size=40)) if K else []
+    v = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=K, max_size=K))
+    return J, np.array(zeta, dtype=int), np.array(v), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_swap_case())
+def test_label_swap_relabels_novelty_clusters_with_their_atoms_and_sticks(case):
+    J, zeta0, v0, seed = case
+    K = v0.size
+    zeta, v, atoms = zeta0.copy(), v0.copy(), list(range(K))
+    assert _label_swap_sweep(zeta, atoms, v, J, np.random.default_rng(seed)) is None
+
+    known = zeta0 <= J
+    assert np.array_equal(zeta[known], zeta0[known])  # known labels stay
+    assert np.all(zeta[~known] > J)
+    # atoms[k] is the stick that now sits at position k: a permutation that
+    # carries every novelty unit, its atom and its stick fraction together
+    assert sorted(atoms) == list(range(K))
+    assert np.array_equal(np.array(atoms, dtype=int)[zeta[~known] - J - 1],
+                          zeta0[~known] - J - 1)
+    assert np.array_equal(v, v0[atoms])
+    counts0 = np.bincount(zeta0, minlength=J + K + 1)[J + 1:]
+    assert np.array_equal(np.bincount(zeta, minlength=J + K + 1)[J + 1:], counts0[atoms])
+
+
+def _equal(a, b) -> bool:
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_equal(x, y) for x, y in zip(a, b))
+    return np.array_equal(a, b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 12))
+def test_gibbs_step_leaves_its_input_state_unchanged(seed, n_warm):
+    rng = np.random.default_rng(seed)
+    data = TestDataset(np.vstack([rng.normal(0, 1, (12, 2)),
+                                  rng.normal((8, -8), 0.5, (6, 2)),
+                                  rng.normal((-8, 8), 0.5, (6, 2))]))
+    priors = [_summary([0.0, 0.0], np.eye(2))]
+    hp = _hyper([20], 2, gamma=GammaPrior(1.0, 1.0), lambda_tr=5.0, seed=seed)
+    family = GaussianFamily(data, priors, hp)
+    state = _initial_state(family, hp)
+    for _ in range(n_warm):
+        state = gibbs_step(state, family, hp, rng)
+
+    before = astuple(state)  # a deep copy, atoms included
+    first = gibbs_step(state, family, hp, np.random.default_rng(seed + 1))
+    assert _equal(astuple(state), before)
+    # the same state and seed give the same scan again
+    again = gibbs_step(state, family, hp, np.random.default_rng(seed + 1))
+    assert np.array_equal(first.zeta, again.zeta) and np.array_equal(first.v, again.v)
 
 
 class TestRunChain:
