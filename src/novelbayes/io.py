@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ParseError
 from .functional import CurveSet
-from .robust import LabeledDataset, RobustClassSummary
+from .robust import LabeledDataset
 from .sampler import ChainOutput, TestDataset
 
 FORMAT_VERSION = 1
@@ -145,11 +145,6 @@ def summaries_to_json(summaries: list, path):
     doc = {"format_version": FORMAT_VERSION,
            "classes": [s.to_dict() for s in summaries]}
     Path(path).write_text(json.dumps(doc, indent=1))
-
-
-def summaries_from_json(path) -> list:
-    doc = json.loads(Path(path).read_text())
-    return [RobustClassSummary.from_dict(d) for d in doc["classes"]]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ import numpy as np
 from .errors import LengthMismatch
 from .sampler import ChainOutput
 
+_BLOCK = 1024  # retained scans per block of the coclustering counts
+
 
 @dataclass
 class PosteriorSummary:
@@ -55,16 +57,14 @@ def classify(alpha_trace: np.ndarray, best_partition: np.ndarray,
     any known class.  Novelty clusters are reported as negative ids.
     """
     alpha_trace = np.asarray(alpha_trace)
-    I, M = alpha_trace.shape
-    labels = np.empty(M, dtype=int)
-    for m in range(M):
-        counts = np.bincount(alpha_trace[:, m])
-        labels[m] = int(np.argmax(counts))  # argmax takes the lowest index on ties
-    cluster_of = dict(zip(np.asarray(novelty_units).tolist(),
-                          np.asarray(best_partition).tolist()))
-    for m in np.flatnonzero(labels == 0):
-        labels[m] = -cluster_of.get(m, 0)
-    return labels
+    # one (J+1, M) count table; a flat bincount over alpha * M + m would need
+    # an int64 copy of the whole trace
+    votes = np.stack([np.count_nonzero(alpha_trace == j, axis=0)
+                      for j in range(int(alpha_trace.max(initial=0)) + 1)])
+    labels = votes.argmax(axis=0)  # argmax takes the lowest label on ties
+    cluster = np.zeros(labels.size, dtype=int)
+    cluster[np.asarray(novelty_units, dtype=int)] = best_partition
+    return np.where(labels == 0, -cluster, labels)
 
 
 def coclustering(beta_trace: np.ndarray, novelty_units: np.ndarray) -> np.ndarray:
@@ -73,32 +73,24 @@ def coclustering(beta_trace: np.ndarray, novelty_units: np.ndarray) -> np.ndarra
     For each pair, only iterations where both units sit in the novelty block
     (beta > 0) count; a pair with no such iteration gets probability 0.
     """
-    beta = np.asarray(beta_trace)[:, np.asarray(novelty_units, dtype=int)]
-    I, Mn = beta.shape
-    num = np.zeros((Mn, Mn), dtype=np.int64)
-    den = np.zeros((Mn, Mn), dtype=np.int64)
-    # accumulate in iteration blocks to bound the temporary (I x Mn x Mn) cube
-    block = max(1, int(2e7 / max(Mn * Mn, 1)))
-    for lo in range(0, I, block):
-        b = beta[lo:lo + block]
-        act = b > 0
-        both = act[:, :, None] & act[:, None, :]
-        num += np.sum((b[:, :, None] == b[:, None, :]) & both, axis=0)
-        den += np.sum(both, axis=0)
+    beta_trace = np.asarray(beta_trace)
+    units = np.asarray(novelty_units, dtype=int)
+    # Gram matrices of 0/1 indicators: the float32 counts are exact integers
+    # below 2**24 retained scans
+    num = np.zeros((units.size, units.size), dtype=np.float32)
+    den = np.zeros_like(num)
+    for lo in range(0, beta_trace.shape[0], _BLOCK):
+        b = beta_trace[lo:lo + _BLOCK, units]
+        novel = b > 0
+        active = novel.astype(np.float32)
+        den += active.T @ active
+        for k in np.unique(b[novel]):
+            same = (b == k).astype(np.float32)
+            num += same.T @ same
+    num, den = num.astype(np.int64), den.astype(np.int64)
     P = np.where(den > 0, num / np.maximum(den, 1), 0.0)
     np.fill_diagonal(P, 1.0)
     return P
-
-
-def _canonical(partition: np.ndarray) -> tuple:
-    """Relabel clusters by first appearance so label permutations collapse."""
-    mapping = {}
-    out = []
-    for c in partition:
-        if c not in mapping:
-            mapping[c] = len(mapping) + 1
-        out.append(mapping[c])
-    return tuple(out)
 
 
 def candidate_partitions(beta_trace: np.ndarray, novelty_units: np.ndarray) -> list[np.ndarray]:
@@ -106,19 +98,21 @@ def candidate_partitions(beta_trace: np.ndarray, novelty_units: np.ndarray) -> l
 
     At iterations where a selected unit momentarily sits in a known class
     (beta = 0) it forms its own singleton, so every candidate partitions the
-    whole selected set.
+    whole selected set.  Clusters are numbered 1, 2, ... by first appearance
+    along the units, and candidates come in the order the chain first
+    visited them.
     """
-    beta = np.asarray(beta_trace)[:, np.asarray(novelty_units, dtype=int)]
+    units = np.asarray(novelty_units, dtype=int)
+    singletons = -np.arange(units.size)  # distinct ids no novelty label takes
     seen = {}
-    singleton_base = int(beta.max()) + 1
-    for row in beta:
-        row = row.astype(int).copy()
-        zero = row == 0
-        if zero.any():
-            row[zero] = singleton_base + np.arange(np.sum(zero))
-        key = _canonical(row)
-        if key not in seen:
-            seen[key] = np.asarray(key, dtype=int)
+    for row in np.asarray(beta_trace):
+        row = row[units]
+        row = np.where(row > 0, row, singletons)
+        _, first, inverse = np.unique(row, return_index=True, return_inverse=True)
+        rank = np.empty(first.size, dtype=int)
+        rank[np.argsort(first)] = np.arange(1, first.size + 1)
+        partition = rank[inverse]
+        seen.setdefault(partition.tobytes(), partition)
     return list(seen.values())
 
 
@@ -148,12 +142,8 @@ def best_partition_vi(ppcm: np.ndarray, candidates: Sequence[np.ndarray]) -> np.
 
 def flag_anomalies(partition: np.ndarray, min_size: int) -> np.ndarray:
     """True for units in novelty clusters smaller than ``min_size``."""
-    partition = np.asarray(partition)
-    if partition.size == 0:
-        return np.zeros(0, dtype=bool)
-    ids, counts = np.unique(partition, return_counts=True)
-    small = {int(i) for i, c in zip(ids, counts) if c < min_size}
-    return np.asarray([int(c) in small for c in partition])
+    _, inverse, counts = np.unique(partition, return_inverse=True, return_counts=True)
+    return counts[inverse] < min_size
 
 
 def default_min_size(n_units: int) -> int:
@@ -200,19 +190,17 @@ def ari(p1, p2) -> float:
 def novelty_precision(labels, truth, known_labels) -> float:
     """Fraction of units flagged as novel whose true class is unobserved."""
     labels, truth = _check_lengths(labels, truth)
-    known = set(int(k) for k in known_labels)
     predicted_novel = labels <= 0
     if not predicted_novel.any():
         return float("nan")
-    truly_novel = np.asarray([int(t) not in known for t in truth])
+    truly_novel = ~np.isin(truth, known_labels)
     return float(np.mean(truly_novel[predicted_novel]))
 
 
 def known_accuracy(labels, truth, known_labels) -> float:
     """Accuracy restricted to units whose true class was observed in training."""
     labels, truth = _check_lengths(labels, truth)
-    known = set(int(k) for k in known_labels)
-    mask = np.asarray([int(t) in known for t in truth])
+    mask = np.isin(truth, known_labels)
     if not mask.any():
         return float("nan")
     return float(np.mean(labels[mask] == truth[mask]))
@@ -238,8 +226,7 @@ def summarize(output: ChainOutput, ppn_threshold: float = 0.5,
 
     if units.size:
         P = coclustering(output.beta_trace, units)
-        cands = candidate_partitions(output.beta_trace, units)
-        part = best_partition_vi(P, cands)
+        part = best_partition_vi(P, candidate_partitions(output.beta_trace, units))
         flags = flag_anomalies(part, min_size)
     else:
         P = np.zeros((0, 0))

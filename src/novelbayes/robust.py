@@ -131,21 +131,6 @@ class RobustClassSummary:
             d["condition_number"] = float(self.condition_number)
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RobustClassSummary":
-        mean = np.asarray(d["mean"], dtype=float)
-        p = mean.size
-        return cls(
-            mean=mean,
-            scatter=np.asarray(d["scatter"], dtype=float).reshape(p, p),
-            untrimmed=np.asarray(d["untrimmed"], dtype=int),
-            method=d["method"],
-            determinant=float(d["determinant"]),
-            log_determinant=float(d["log_determinant"]),
-            rho=d.get("rho"),
-            condition_number=d.get("condition_number"),
-        )
-
 
 # ---------------------------------------------------------------------------
 # helpers

@@ -122,6 +122,14 @@ class ChainOutput:
         row_sums = self.pi_trace.sum(axis=1)
         if self.pi_trace.size and np.max(np.abs(row_sums - 1.0)) > 1e-10:
             raise ValueError("pi trace rows must lie on the simplex")
+        if self.alpha_trace.size:
+            lo, hi = int(self.alpha_trace.min()), int(self.alpha_trace.max())
+            if lo < 0 or hi > self.n_known:
+                raise ValueError(f"alpha trace labels span [{lo}, {hi}], "
+                                 f"outside [0, {self.n_known}] (n_known)")
+            beta_lo = int(self.beta_trace.min())
+            if beta_lo < 0:
+                raise ValueError(f"beta trace labels reach {beta_lo}, below 0")
         if np.any((self.alpha_trace > 0) == (self.beta_trace > 0)):
             raise ValueError("exactly one of alpha, beta must be positive")
 
@@ -186,18 +194,15 @@ def sample_niw(params: NIWParams, rng: np.random.Generator) -> GaussianAtom:
 
 
 def update_gamma(current: float, n_novel: int, k_novel: int,
-                 prior_shape: Optional[float], prior_rate: Optional[float],
+                 prior_shape: float, prior_rate: float,
                  rng: np.random.Generator) -> float:
     """Resample the DP concentration given the novelty partition.
 
     Standard auxiliary-variable move: draw x ~ Beta(gamma+1, n), then gamma
     from a two-component mixture of Gamma(shape + k, rate - log x) and
     Gamma(shape + k - 1, rate - log x).  With no novelty points this reduces
-    to a prior draw; with prior_shape None the value passes through unchanged
-    (fixed-concentration mode).
+    to a prior draw.
     """
-    if prior_shape is None:
-        return current
     if n_novel == 0:
         return float(rng.gamma(prior_shape, 1.0 / prior_rate))
     x = rng.beta(current + 1.0, n_novel)

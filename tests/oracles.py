@@ -109,6 +109,54 @@ def vi_lower_bound_slow(P, labels):
     return total
 
 
+def ppcm_slow(beta, units):
+    """Coclustering matrix from pairwise counts over the retained scans.
+
+    Entry (a, b) is the share of scans with both units in the novelty block
+    (beta > 0) in which they share a label; 0 when there is no such scan.
+    """
+    beta = np.asarray(beta)[:, units].tolist()
+    n = len(units)
+    P = np.zeros((n, n))
+    for a in range(n):
+        for b in range(n):
+            both = same = 0
+            for row in beta:
+                if row[a] > 0 and row[b] > 0:
+                    both += 1
+                    same += int(row[a] == row[b])
+            P[a, b] = same / both if both else 0.0
+        P[a, a] = 1.0
+    return P
+
+
+def candidates_slow(beta, units):
+    """Visited partitions, clusters numbered by first appearance, first visit first.
+
+    A unit in a known class (beta = 0) is a singleton of its own.
+    """
+    out = []
+    for row in np.asarray(beta)[:, units]:
+        number = {}
+        part = [number.setdefault(("novel", int(c)) if c > 0 else ("known", m),
+                                  len(number) + 1)
+                for m, c in enumerate(row)]
+        if part not in out:
+            out.append(part)
+    return [np.asarray(p, dtype=int) for p in out]
+
+
+def classify_slow(alpha, partition, units):
+    """Per-unit plurality vote; the lowest label wins ties, novel units get -cluster."""
+    alpha = np.asarray(alpha)
+    cluster = dict(zip(np.asarray(units).tolist(), np.asarray(partition).tolist()))
+    labels = []
+    for m in range(alpha.shape[1]):
+        vote = int(np.argmax(np.bincount(alpha[:, m])))
+        labels.append(vote if vote else -cluster.get(m, 0))
+    return np.asarray(labels)
+
+
 def random_ppcm(n, rng):
     """Symmetric matrix with unit diagonal and entries in [0, 1]."""
     R = rng.random((n, n))

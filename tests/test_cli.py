@@ -11,6 +11,7 @@ import novelbayes.io as nio
 from novelbayes import cli
 from novelbayes.cli import main
 from novelbayes.functional import CurveSet
+from novelbayes.sampler import ChainOutput
 
 
 def run_cli(*argv):
@@ -282,6 +283,26 @@ class TestErrorPaths:
         (chain / "metadata.json").write_text(json.dumps(meta))
         assert run_cli("summarize", "--chain-dir", str(chain)) == 2
         assert "missing key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha, beta, message", [
+        (-1, 2, "alpha trace labels span [-1, 1]"),
+        (7, 0, "alpha trace labels span [1, 7], outside [0, 2]"),
+    ])
+    def test_out_of_range_trace_labels_leave_no_summary(self, alpha, beta, message,
+                                                        tmp_path, capsys):
+        traces = tmp_path / "traces"
+        chain = ChainOutput(alpha_trace=np.ones((3, 2)), beta_trace=np.zeros((3, 2)),
+                            pi_trace=np.tile([0.5, 0.3, 0.2], (3, 1)),
+                            gamma_trace=np.ones(3), n_active_trace=np.full(3, 3),
+                            n_known=2, seed=0)
+        nio.save_chain(chain, traces)
+        for name, value in (("alpha_trace", alpha), ("beta_trace", beta)):
+            trace = getattr(chain, name).copy()
+            trace[1, 0] = value
+            trace.astype("<i4").tofile(traces / f"{name}.bin")
+        assert run_cli("summarize", "--chain-dir", str(traces)) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "summary").exists()
 
     def test_malformed_data_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

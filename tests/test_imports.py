@@ -1,6 +1,8 @@
-"""Every module of the package and of its tests uses each name it imports.
+"""Every module of the package and of its tests uses each name it imports,
+and every private module-level name of the package is read somewhere in it.
 
-The package's ``__init__`` is the exception: its imports are the public API.
+The package's ``__init__`` is the exception to the first rule: its imports
+are the public API.
 """
 
 import ast
@@ -9,8 +11,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted(p for p in [*(ROOT / "src" / "novelbayes").glob("*.py"),
-                           *(ROOT / "tests").glob("*.py")]
+PACKAGE = sorted((ROOT / "src" / "novelbayes").glob("*.py"))
+FILES = sorted(p for p in [*PACKAGE, *(ROOT / "tests").glob("*.py")]
                if p.name != "__init__.py")
 
 
@@ -36,3 +38,52 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _private_definitions(tree: ast.Module) -> dict:
+    """Private functions, classes and constants bound at module level."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                found[name] = node.lineno
+    return found
+
+
+def _unused_private_definitions(sources: dict) -> list:
+    """Module-level private names that no module among ``sources`` reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(f"{module} line {line}: {name}"
+                  for module, tree in trees.items()
+                  for name, line in _private_definitions(tree).items() if name not in read)
+
+
+def test_the_scan_finds_an_unused_private_definition():
+    sources = {
+        "a.py": ("_USED = 1\n_UNUSED: int = 2\n\ndef _helper():\n    return _USED\n\n"
+                 "class _Lost:\n    pass\n\ndef _orphan():\n    pass\n"),
+        "b.py": "from a import _helper\nimport a\n\nprint(_helper(), a._orphan)\n",
+    }
+    assert _unused_private_definitions(sources) == ["a.py line 2: _UNUSED", "a.py line 7: _Lost"]
+
+
+def test_no_unused_private_definitions():
+    sources = {p.name: p.read_text() for p in PACKAGE}
+    assert _unused_private_definitions(sources) == []

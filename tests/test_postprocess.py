@@ -5,6 +5,7 @@ import pytest
 
 from novelbayes.errors import LengthMismatch
 from novelbayes.postprocess import (
+    _BLOCK,
     ari,
     best_partition_vi,
     candidate_partitions,
@@ -104,6 +105,57 @@ class TestCoclustering:
         assert np.allclose(P, P.T)
         assert np.all(np.diag(P) == 1.0)
         assert np.all((P >= 0) & (P <= 1))
+
+
+def _traces(rng, n_scans, n_units, novel_labels, p_novel=0.6, n_known=3):
+    """alpha/beta traces: each unit sits in a known class or in a novelty cluster."""
+    novel = rng.random((n_scans, n_units)) < p_novel
+    alpha = np.where(novel, 0, rng.integers(1, n_known + 1, size=novel.shape))
+    beta = np.where(novel, rng.choice(novel_labels, size=novel.shape), 0)
+    return alpha, beta
+
+
+def _relabelled(rng, n_scans, n_units):
+    """A few partitions revisited under fresh label permutations."""
+    base = rng.integers(0, 3, size=(4, n_units))
+    beta = np.stack([rng.permutation(np.arange(1, 10))[:3][base[i % 4]]
+                     for i in range(n_scans)])
+    return np.zeros_like(beta), beta
+
+
+_CASES = {
+    **{f"random-{seed}": (seed, lambda rng: _traces(rng, 60, 10, np.arange(1, 6)), 6)
+       for seed in range(4)},
+    "permuted labels": (4, lambda rng: _relabelled(rng, 40, 8), 8),
+    "label gaps": (5, lambda rng: _traces(rng, 50, 9, [3, 7]), 7),
+    "one scan": (6, lambda rng: _traces(rng, 1, 8, np.arange(1, 4)), 5),
+    "one novelty unit": (7, lambda rng: _traces(rng, 30, 6, np.arange(1, 4)), 1),
+    "no novelty units": (8, lambda rng: _traces(rng, 30, 6, np.arange(1, 4)), 0),
+    "vote ties": (9, lambda rng: _traces(rng, 2, 12, np.arange(1, 4), p_novel=0.5), 6),
+    "several blocks": (10, lambda rng: _traces(rng, 2 * _BLOCK + 17, 7, np.arange(1, 5)), 5),
+}
+
+
+@pytest.mark.parametrize("case", _CASES)
+def test_trace_passes_match_loop_references(case):
+    seed, make, n_selected = _CASES[case]
+    rng = np.random.default_rng(seed)
+    alpha, beta = make(rng)
+    units = np.sort(rng.choice(beta.shape[1], size=n_selected, replace=False))
+
+    P = coclustering(beta, units)
+    assert P.tobytes() == oracles.ppcm_slow(beta, units).tobytes()
+
+    cands = candidate_partitions(beta, units)
+    want = oracles.candidates_slow(beta, units)
+    assert len(cands) == len(want)
+    for got, ref in zip(cands, want):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+
+    part = cands[-1]
+    assert np.array_equal(classify(alpha, part, units),
+                          oracles.classify_slow(alpha, part, units))
 
 
 class TestVi:

@@ -216,10 +216,6 @@ def test_start_distance_with_non_spd_scatter_is_a_numerical_error():
 
 
 class TestUpdateGamma:
-    def test_fixed_mode_passthrough(self):
-        rng = np.random.default_rng(5)
-        assert update_gamma(2.5, 10, 3, None, None, rng) == 2.5
-
     def test_no_novelty_prior_draw(self):
         rng = np.random.default_rng(6)
         draws = np.array([update_gamma(1.0, 0, 0, 2.0, 4.0, rng) for _ in range(100000)])
@@ -411,5 +407,16 @@ class TestRunChain:
     def test_output_invariants_enforced(self):
         with pytest.raises(ValueError):
             ChainOutput(alpha_trace=np.array([[1]]), beta_trace=np.array([[1]]),
+                        pi_trace=np.array([[0.5, 0.5]]), gamma_trace=np.ones(1),
+                        n_active_trace=np.ones(1), n_known=1, seed=0)
+
+    @pytest.mark.parametrize("alpha, beta, match", [
+        (-1, 2, r"alpha trace labels span \[-1, 1\]"),
+        (7, 0, r"alpha trace labels span \[1, 7\], outside \[0, 1\]"),
+        (0, -3, "beta trace labels reach -3"),
+    ])
+    def test_out_of_range_labels_rejected(self, alpha, beta, match):
+        with pytest.raises(ValueError, match=match):
+            ChainOutput(alpha_trace=np.array([[1, alpha]]), beta_trace=np.array([[0, beta]]),
                         pi_trace=np.array([[0.5, 0.5]]), gamma_trace=np.ones(1),
                         n_active_trace=np.ones(1), n_known=1, seed=0)

@@ -113,12 +113,9 @@ class TestSummariesAndChains:
         summaries = extract_class_priors(train, McdConfig(eta=0.8, n_starts=20, seed=1))
         path = tmp_path / "priors.json"
         nio.summaries_to_json(summaries, path)
-        back = nio.summaries_from_json(path)
-        for a, b in zip(summaries, back):
-            assert b.mean == pytest.approx(a.mean, rel=1e-15)
-            assert b.scatter == pytest.approx(a.scatter, rel=1e-15)
-            assert np.array_equal(a.untrimmed, b.untrimmed)
-            assert a.method == b.method
+        doc = json.loads(path.read_text())
+        assert doc["format_version"] == nio.FORMAT_VERSION
+        assert doc["classes"] == [s.to_dict() for s in summaries]
 
     def _chain(self):
         I, M = 12, 5
