@@ -57,6 +57,8 @@ from .model import (
 )
 from .robust import RobustClassSummary
 
+_CHECK_ROWS = 1024  # trace rows per block of the alpha/beta exclusivity check
+
 
 @dataclass
 class TestDataset:
@@ -130,8 +132,11 @@ class ChainOutput:
             beta_lo = int(self.beta_trace.min())
             if beta_lo < 0:
                 raise ValueError(f"beta trace labels reach {beta_lo}, below 0")
-        if np.any((self.alpha_trace > 0) == (self.beta_trace > 0)):
-            raise ValueError("exactly one of alpha, beta must be positive")
+        # row blocks keep the boolean temporaries small next to the traces
+        for lo in range(0, self.alpha_trace.shape[0], _CHECK_ROWS):
+            rows = slice(lo, lo + _CHECK_ROWS)
+            if np.any((self.alpha_trace[rows] > 0) == (self.beta_trace[rows] > 0)):
+                raise ValueError("exactly one of alpha, beta must be positive")
 
     @property
     def n_units(self) -> int:

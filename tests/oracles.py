@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from novelbayes.postprocess import vi_score
+
 
 # ---------------------------------------------------------------------------
 # exhaustive subset searches
@@ -107,6 +109,13 @@ def vi_lower_bound_slow(P, labels):
         row = sum(P[m][mp] for mp in range(n))
         total += math.log2(size) + math.log2(row) - 2.0 * math.log2(same)
     return total
+
+
+def best_partition_vi_slow(P, candidates):
+    """Expected-VI search as one ``vi_score`` call per candidate; the first
+    minimum wins.  ``vi_score`` is the public reference score."""
+    scores = [vi_score(P, c) for c in candidates]
+    return np.asarray(candidates[int(np.argmin(scores))], dtype=int)
 
 
 def ppcm_slow(beta, units):

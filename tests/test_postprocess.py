@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from novelbayes.errors import LengthMismatch
 from novelbayes.postprocess import (
     _BLOCK,
+    _VI_BLOCK,
     ari,
     best_partition_vi,
     candidate_partitions,
@@ -156,6 +159,112 @@ def test_trace_passes_match_loop_references(case):
     part = cands[-1]
     assert np.array_equal(classify(alpha, part, units),
                           oracles.classify_slow(alpha, part, units))
+
+
+def _visited(rng):
+    """PPCM and candidates of random traces where units sometimes sit in a known class."""
+    _, beta = _traces(rng, 200, 12, np.arange(1, 5), p_novel=0.8)
+    units = np.arange(12)
+    return coclustering(beta, units), candidate_partitions(beta, units)
+
+
+def _tied(rng):
+    """Constant off-diagonal PPCM of ones on 8 units and clusters of 4, 2, 1 and 1:
+    every per-unit term is an integer, so each reordering of the units ties
+    exactly, and two worse candidates come first."""
+    P = np.ones((8, 8))
+    worse = [np.arange(8), np.repeat([1, 2, 3, 4], 2)]
+    base = np.array([1, 1, 1, 1, 2, 2, 3, 4])
+    tied = [rng.permutation(base) * 3 for _ in range(2 * _VI_BLOCK + 5)]
+    assert len({vi_score(P, c) for c in tied}) == 1
+    assert all(vi_score(P, w) > vi_score(P, tied[0]) for w in worse)
+    return P, worse + tied
+
+
+def _rounding_ties(rng):
+    """Constant 0.3 off-diagonal PPCM and reorderings of one partition: the
+    exact scores differ only by rounding, which the screen can reorder."""
+    P = np.full((12, 12), 0.3)
+    np.fill_diagonal(P, 1.0)
+    base = np.repeat([1, 2, 3, 4, 5], [4, 3, 2, 2, 1])
+    return P, [rng.permutation(base) for _ in range(40)]
+
+
+def _non_canonical(rng):
+    """Visited candidates, each under its own map onto labels with 0, negatives,
+    gaps and very large ids."""
+    P, cands = _visited(rng)
+    pool = np.array([-9, -3, 0, 2, 7, 40, 10**12, -(10**15), 5, 11, 13, 17, 19, 23])
+    return P, [rng.permutation(pool)[np.unique(c, return_inverse=True)[1]] for c in cands]
+
+
+def _random_candidates(rng, n_cands, n=10):
+    return oracles.random_ppcm(n, rng), [rng.integers(1, 5, size=n) for _ in range(n_cands)]
+
+
+def _zero_diagonal(rng):
+    P, cands = _random_candidates(rng, 20)
+    np.fill_diagonal(P, 0.0)  # singletons score inf: the screen is not finite
+    return P, cands
+
+
+def _zero_row(rng):
+    P, cands = _random_candidates(rng, 20)
+    P[3] = P[:, 3] = 0.0  # every score is nan, so the first candidate wins
+    return P, cands
+
+
+def _negative_entry(rng):
+    P, cands = _random_candidates(rng, 20)
+    P[0, 1] = P[1, 0] = -0.2
+    return P, cands
+
+
+_VI_CASES = {
+    "visited traces": _visited,
+    "exact ties": _tied,
+    "rounding ties": _rounding_ties,
+    "non-canonical labels": _non_canonical,
+    "one candidate": lambda rng: (oracles.random_ppcm(6, rng), [np.array([5, 0, 5, -2, 9, 0])]),
+    "several blocks": lambda rng: _random_candidates(rng, 5 * _VI_BLOCK + 3),
+    "zero diagonal": _zero_diagonal,
+    "zero row": _zero_row,
+    "negative entry": _negative_entry,
+    "no units": lambda rng: (np.zeros((0, 0)), [np.zeros(0, dtype=int)] * 3),
+}
+
+
+@pytest.mark.parametrize("case", _VI_CASES)
+def test_vi_search_matches_loop_reference(case):
+    rng = np.random.default_rng(sorted(_VI_CASES).index(case))
+    P, cands = _VI_CASES[case](rng)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = best_partition_vi(P, cands)
+        want = oracles.best_partition_vi_slow(P, cands)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert got.flags.writeable
+
+
+def test_vi_search_first_of_tied_minima_wins():
+    P, cands = _tied(np.random.default_rng(0))
+    got = best_partition_vi(P, cands)
+    assert np.array_equal(got, cands[2])  # the first tied candidate, after two worse ones
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=12),
+       st.lists(st.integers(-10**6, 10**6), min_size=5, max_size=5, unique=True),
+       st.integers(0, 2**32 - 1))
+def test_vi_and_ari_invariant_under_relabelling(labels, new_ids, seed):
+    rng = np.random.default_rng(seed)
+    labels = np.asarray(labels)
+    relabelled = np.asarray(new_ids)[labels]
+    other = rng.integers(0, 3, size=labels.size)
+    P = oracles.random_ppcm(labels.size, rng)
+    assert vi_score(P, relabelled) == vi_score(P, labels)
+    assert ari(relabelled, other) == ari(labels, other)
+    assert ari(other, relabelled) == ari(other, labels)
 
 
 class TestVi:

@@ -18,6 +18,7 @@ from novelbayes.model import (
 )
 from novelbayes.robust import RobustClassSummary
 from novelbayes.sampler import (
+    _CHECK_ROWS,
     ChainOutput,
     GaussianFamily,
     TestDataset,
@@ -409,6 +410,16 @@ class TestRunChain:
             ChainOutput(alpha_trace=np.array([[1]]), beta_trace=np.array([[1]]),
                         pi_trace=np.array([[0.5, 0.5]]), gamma_trace=np.ones(1),
                         n_active_trace=np.ones(1), n_known=1, seed=0)
+
+    def test_exclusivity_checked_past_first_row_block(self):
+        alpha = np.ones((_CHECK_ROWS + 300, 3), dtype=int)
+        beta = np.zeros_like(alpha)
+        alpha[_CHECK_ROWS + 250, 1] = 0  # neither positive, only in the second block
+        with pytest.raises(ValueError, match="exactly one of alpha, beta must be positive"):
+            ChainOutput(alpha_trace=alpha, beta_trace=beta,
+                        pi_trace=np.full((alpha.shape[0], 2), 0.5),
+                        gamma_trace=np.ones(alpha.shape[0]),
+                        n_active_trace=np.ones(alpha.shape[0]), n_known=1, seed=0)
 
     @pytest.mark.parametrize("alpha, beta, match", [
         (-1, 2, r"alpha trace labels span \[-1, 1\]"),
