@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DimensionMismatch, ParseError
 from .functional import CurveSet
 from .robust import LabeledDataset
-from .sampler import ChainOutput, TestDataset
+from .sampler import ChainOutput, TestDataset, _zeta_from_labels
 
 FORMAT_VERSION = 1
 TRACE_FORMATS = ("bin", "csv")  # flat little-endian binary, or CSV
@@ -196,10 +196,18 @@ def load_chain(directory) -> ChainOutput:
         n_known, seed, run_meta = meta["n_known"], meta["seed"], meta["meta"]
     except KeyError as exc:
         raise ParseError(f"{directory / 'metadata.json'}: missing key {exc}") from exc
+    alpha, beta = arrays.pop("alpha_trace"), arrays.pop("beta_trace")
+    for name, trace in (("alpha_trace", alpha), ("beta_trace", beta)):
+        if trace.dtype.kind not in "iu":
+            raise ParseError(f"{directory / 'metadata.json'}: {name} has dtype "
+                             f"{trace.dtype.str}, not an integer type")
+    # zeta overwrites the alpha buffer, so alpha, beta and zeta never coexist in full
+    zeta = _zeta_from_labels(alpha.astype(np.int32, copy=False),
+                             beta.astype(np.int32, copy=False), n_known)
     snapshots = None
     if "atoms" in meta:
         snapshots = json.loads((directory / meta["atoms"]).read_text())
-    return ChainOutput(n_known=n_known, seed=seed, atom_snapshots=snapshots,
+    return ChainOutput(zeta_trace=zeta, n_known=n_known, seed=seed, atom_snapshots=snapshots,
                        meta=run_meta, **arrays)
 
 

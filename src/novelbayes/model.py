@@ -235,21 +235,20 @@ def zeta_to_alpha_beta(zeta, n_known: int):
     """Map the flat membership index to the (known, novel) label pair.
 
     zeta <= J identifies known class alpha = zeta (beta = 0); zeta > J
-    identifies novelty cluster beta = zeta - J (alpha = 0).
+    identifies novelty cluster beta = zeta - J (alpha = 0), in zeta's dtype.
     """
     zeta = np.asarray(zeta)
     if np.any(zeta < 1):
         raise ValueError("zeta indices are 1-based")
-    known = zeta <= n_known
-    alpha = np.where(known, zeta, 0)
-    beta = np.where(known, 0, zeta - n_known)
+    beta = np.maximum(zeta - n_known, 0)  # peaks one array lower than a zeta <= J mask
+    alpha = np.where(beta > 0, 0, zeta)
     if zeta.ndim == 0:
         return int(alpha), int(beta)
-    return alpha.astype(int), beta.astype(int)
+    return alpha, beta
 
 
 def alpha_beta_to_zeta(alpha, beta, n_known: int):
-    """Inverse of :func:`zeta_to_alpha_beta`."""
+    """Inverse of :func:`zeta_to_alpha_beta`, in the dtype of alpha and beta."""
     alpha = np.asarray(alpha)
     beta = np.asarray(beta)
     if np.any((alpha > 0) == (beta > 0)):
@@ -257,7 +256,7 @@ def alpha_beta_to_zeta(alpha, beta, n_known: int):
     zeta = np.where(alpha > 0, alpha, beta + n_known)
     if alpha.ndim == 0:
         return int(zeta)
-    return zeta.astype(int)
+    return zeta
 
 
 # ---------------------------------------------------------------------------

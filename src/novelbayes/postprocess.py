@@ -42,47 +42,47 @@ class PosteriorSummary:
     min_size: int
 
 
-def ppn(alpha_trace: np.ndarray) -> np.ndarray:
-    """Posterior probability of being a novelty: frequency of alpha_m = 0."""
-    alpha_trace = np.asarray(alpha_trace)
-    if alpha_trace.size == 0:
+def ppn(zeta_trace: np.ndarray, n_known: int) -> np.ndarray:
+    """Posterior probability of being a novelty: frequency of zeta_m > J."""
+    zeta_trace = np.asarray(zeta_trace)
+    if zeta_trace.size == 0:
         raise ValueError("empty trace")
-    return np.mean(alpha_trace == 0, axis=0)
+    return np.mean(zeta_trace > n_known, axis=0)
 
 
-def classify(alpha_trace: np.ndarray, best_partition: np.ndarray,
+def classify(zeta_trace: np.ndarray, n_known: int, best_partition: np.ndarray,
              novelty_units: np.ndarray) -> np.ndarray:
     """Majority-vote labels; plurality-novel units get their cluster id.
 
-    Ties in the vote go to the smallest label value, so 0 (novelty) beats
-    any known class.  Novelty clusters are reported as negative ids.
+    Votes go to 0 (novelty, zeta > J) or a class 1..J; ties go to the
+    smallest label, so novelty beats any class.  Clusters get negative ids.
     """
-    alpha_trace = np.asarray(alpha_trace)
-    # one (J+1, M) count table; a flat bincount over alpha * M + m would need
+    zeta_trace = np.asarray(zeta_trace)
+    # one (J+1, M) count table; a flat bincount over zeta * M + m would need
     # an int64 copy of the whole trace
-    votes = np.stack([np.count_nonzero(alpha_trace == j, axis=0)
-                      for j in range(int(alpha_trace.max(initial=0)) + 1)])
+    votes = np.stack([np.count_nonzero(zeta_trace == j if j else zeta_trace > n_known, axis=0)
+                      for j in range(n_known + 1)])
     labels = votes.argmax(axis=0)  # argmax takes the lowest label on ties
     cluster = np.zeros(labels.size, dtype=int)
     cluster[np.asarray(novelty_units, dtype=int)] = best_partition
     return np.where(labels == 0, -cluster, labels)
 
 
-def coclustering(beta_trace: np.ndarray, novelty_units: np.ndarray) -> np.ndarray:
+def coclustering(zeta_trace: np.ndarray, n_known: int, novelty_units: np.ndarray) -> np.ndarray:
     """Pairwise probability that two novelty units share a cluster.
 
     For each pair, only iterations where both units sit in the novelty block
-    (beta > 0) count; a pair with no such iteration gets probability 0.
+    (zeta > J) count; a pair with no such iteration gets probability 0.
     """
-    beta_trace = np.asarray(beta_trace)
+    zeta_trace = np.asarray(zeta_trace)
     units = np.asarray(novelty_units, dtype=int)
     # Gram matrices of 0/1 indicators: the float32 counts are exact integers
     # below 2**24 retained scans
     num = np.zeros((units.size, units.size), dtype=np.float32)
     den = np.zeros_like(num)
-    for lo in range(0, beta_trace.shape[0], _BLOCK):
-        b = beta_trace[lo:lo + _BLOCK, units]
-        novel = b > 0
+    for lo in range(0, zeta_trace.shape[0], _BLOCK):
+        b = zeta_trace[lo:lo + _BLOCK, units]
+        novel = b > n_known
         active = novel.astype(np.float32)
         den += active.T @ active
         for k in np.unique(b[novel]):
@@ -94,11 +94,12 @@ def coclustering(beta_trace: np.ndarray, novelty_units: np.ndarray) -> np.ndarra
     return P
 
 
-def candidate_partitions(beta_trace: np.ndarray, novelty_units: np.ndarray) -> list[np.ndarray]:
+def candidate_partitions(zeta_trace: np.ndarray, n_known: int,
+                         novelty_units: np.ndarray) -> list[np.ndarray]:
     """Distinct novelty partitions visited by the chain, up to relabeling.
 
     At iterations where a selected unit momentarily sits in a known class
-    (beta = 0) it forms its own singleton, so every candidate partitions the
+    (zeta <= J) it forms its own singleton, so every candidate partitions the
     whole selected set.  Clusters are numbered 1, 2, ... by first appearance
     along the units, and candidates come in the order the chain first
     visited them.  Each candidate is a read-only int64 view of the bytes
@@ -107,9 +108,9 @@ def candidate_partitions(beta_trace: np.ndarray, novelty_units: np.ndarray) -> l
     units = np.asarray(novelty_units, dtype=int)
     singletons = -np.arange(units.size)  # distinct ids no novelty label takes
     seen = {}
-    for row in np.asarray(beta_trace):
+    for row in np.asarray(zeta_trace):
         row = row[units]
-        row = np.where(row > 0, row, singletons)
+        row = np.where(row > n_known, row, singletons)
         _, first, inverse = np.unique(row, return_index=True, return_inverse=True)
         rank = np.empty(first.size, dtype=int)
         rank[np.argsort(first)] = np.arange(1, first.size + 1)
@@ -122,11 +123,15 @@ def vi_score(ppcm: np.ndarray, partition: np.ndarray) -> float:
 
     score = sum_m [ log2 n_{c(m)} + log2 sum_m' p_{m m'}
                     - 2 log2 sum_{m' in c(m)} p_{m m'} ].
-    Zero for a partition that exactly matches a 0/1 block PPCM.
+    Zero for a partition that exactly matches a 0/1 block PPCM.  A row of
+    the PPCM that sums to zero leaves the score undefined: ValueError.
     """
     P = np.asarray(ppcm, dtype=float)
     c = np.asarray(partition)
     row_tot = P.sum(axis=1)
+    zero = np.flatnonzero(row_tot == 0)
+    if zero.size:
+        raise ValueError(f"PPCM row {zero[0]} sums to zero; the expected VI is undefined")
     same = c[:, None] == c[None, :]
     size = same.sum(axis=1)
     within = np.sum(P * same, axis=1)
@@ -182,7 +187,8 @@ def best_partition_vi(ppcm: np.ndarray, candidates: Sequence[np.ndarray]) -> np.
     1e-9 max(1, |min t|) and twice that bound.  On the resummarize
     benchmark traces (n = 300) the measured eps is below 6e-13.  With a
     negative entry in P or a screened score that is not finite the bound
-    does not hold, and every candidate is re-scored.
+    does not hold, and every candidate is re-scored; a PPCM row that sums
+    to zero makes ``vi_score`` raise ValueError there.
     """
     if len(candidates) == 0:
         raise ValueError("no candidate partitions supplied")
@@ -284,21 +290,22 @@ def summarize(output: ChainOutput, ppn_threshold: float = 0.5,
     is selected by expected-VI, small clusters are flagged as anomalies, and
     every unit receives a final label.
     """
-    probs = ppn(output.alpha_trace)
+    zeta, J = output.zeta_trace, output.n_known
+    probs = ppn(zeta, J)
     units = np.flatnonzero(probs > ppn_threshold)
     if min_size is None:
         min_size = default_min_size(output.n_units)
 
     if units.size:
-        P = coclustering(output.beta_trace, units)
-        part = best_partition_vi(P, candidate_partitions(output.beta_trace, units))
+        P = coclustering(zeta, J, units)
+        part = best_partition_vi(P, candidate_partitions(zeta, J, units))
         flags = flag_anomalies(part, min_size)
     else:
         P = np.zeros((0, 0))
         part = np.zeros(0, dtype=int)
         flags = np.zeros(0, dtype=bool)
 
-    labels = classify(output.alpha_trace, part, units)
+    labels = classify(zeta, J, part, units)
     return PosteriorSummary(
         ppn=probs, labels=labels, novelty_units=units, ppcm=P,
         best_partition=part, anomaly_flags=flags,

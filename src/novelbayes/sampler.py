@@ -8,9 +8,10 @@ slice-sampling recipe: uniform slice variables under the deterministic
 sequence, stochastic truncation, conjugate updates for the mixture weights,
 the sticks and every atom, a categorical reallocation of each unit over the
 finitely many eligible components, and the concentration update.  A chain
-adds the chi-square start and the post-burn-in traces, which store zeta as
-the (known class, novelty cluster) pair.  A chain is a pure function of
-(data, priors, hyperparameters, seed).
+adds the chi-square start and the post-burn-in traces.  The label trace is
+one zeta trace in memory; the (known class, novelty cluster) pair is derived
+from it on demand and is the form written to disk.  A chain is a pure
+function of (data, priors, hyperparameters, seed).
 
 Only the atoms depend on the model.  An atom family holds the data matrix
 as ``data`` (one row per unit) and provides
@@ -35,7 +36,7 @@ models extend.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from typing import Optional
 
@@ -49,6 +50,7 @@ from .model import (
     NIWParams,
     _mahalanobis_chol,
     _solve_triangular,
+    alpha_beta_to_zeta,
     log_gaussian_density_many,
     stick_breaking,
     truncation_level,
@@ -57,7 +59,7 @@ from .model import (
 )
 from .robust import RobustClassSummary
 
-_CHECK_ROWS = 1024  # trace rows per block of the alpha/beta exclusivity check
+_CHECK_ROWS = 256  # trace rows per block of the alpha/beta check and conversion
 
 
 @dataclass
@@ -96,51 +98,60 @@ class ChainState:
     gamma: float
 
 
-@dataclass
-class ChainOutput:
-    """Post-burn-in traces of the sampler.
+def _zeta_from_labels(alpha: np.ndarray, beta: np.ndarray, n_known: int) -> np.ndarray:
+    """Check an (alpha, beta) trace pair and overwrite ``alpha`` with its
+    zeta trace; row blocks keep the temporaries small next to the traces."""
+    if alpha.shape != beta.shape:
+        raise DimensionMismatch("alpha and beta traces must align")
+    if alpha.size and not 0 <= alpha.min() <= alpha.max() <= n_known:
+        raise ValueError(f"alpha trace labels span [{alpha.min()}, {alpha.max()}], "
+                         f"outside [0, {n_known}] (n_known)")
+    if beta.size and beta.min() < 0:
+        raise ValueError(f"beta trace labels reach {beta.min()}, below 0")
+    for lo in range(0, alpha.shape[0], _CHECK_ROWS):
+        rows = slice(lo, lo + _CHECK_ROWS)
+        alpha[rows] = alpha_beta_to_zeta(alpha[rows], beta[rows], n_known)
+    return alpha
 
-    ``alpha_trace[i, m]`` is the known-class label of unit m at retained
-    iteration i (0 = novelty); ``beta_trace`` the novelty-cluster label
-    (0 = assigned to a known class).  Exactly one of the two is positive for
-    every unit at every iteration.
+
+class ChainOutput:
+    """Post-burn-in traces of the sampler, given as ``zeta_trace`` or as the
+    ``alpha_trace``/``beta_trace`` pair.
+
+    ``zeta_trace[i, m]``, the one label trace in memory, is the membership
+    index of unit m at retained iteration i.  ``alpha_trace`` (known class,
+    0 = novelty) and ``beta_trace`` (novelty cluster, 0 = known class) are
+    derived from it on each access; they are the form written to disk.
     """
 
-    alpha_trace: np.ndarray
-    beta_trace: np.ndarray
-    pi_trace: np.ndarray
-    gamma_trace: np.ndarray
-    n_active_trace: np.ndarray
-    n_known: int
-    seed: int
-    atom_snapshots: Optional[list] = None
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.alpha_trace = np.asarray(self.alpha_trace, dtype=np.int32)
-        self.beta_trace = np.asarray(self.beta_trace, dtype=np.int32)
-        if self.alpha_trace.shape != self.beta_trace.shape:
-            raise DimensionMismatch("alpha and beta traces must align")
-        row_sums = self.pi_trace.sum(axis=1)
-        if self.pi_trace.size and np.max(np.abs(row_sums - 1.0)) > 1e-10:
+    def __init__(self, *, pi_trace, gamma_trace, n_active_trace, n_known: int, seed: int,
+                 zeta_trace=None, alpha_trace=None, beta_trace=None,
+                 atom_snapshots: Optional[list] = None, meta: Optional[dict] = None):
+        if (zeta_trace is None) == (alpha_trace is None):
+            raise TypeError("pass either zeta_trace or alpha_trace and beta_trace")
+        self.n_known, self.seed = int(n_known), seed
+        if zeta_trace is None:
+            zeta_trace = _zeta_from_labels(np.array(alpha_trace, dtype=np.int32),
+                                           np.asarray(beta_trace, dtype=np.int32), self.n_known)
+        self.zeta_trace = np.asarray(zeta_trace, dtype=np.int32)
+        if self.zeta_trace.size and self.zeta_trace.min() < 1:
+            raise ValueError("zeta trace labels are 1-based")
+        if pi_trace.size and np.max(np.abs(pi_trace.sum(axis=1) - 1.0)) > 1e-10:
             raise ValueError("pi trace rows must lie on the simplex")
-        if self.alpha_trace.size:
-            lo, hi = int(self.alpha_trace.min()), int(self.alpha_trace.max())
-            if lo < 0 or hi > self.n_known:
-                raise ValueError(f"alpha trace labels span [{lo}, {hi}], "
-                                 f"outside [0, {self.n_known}] (n_known)")
-            beta_lo = int(self.beta_trace.min())
-            if beta_lo < 0:
-                raise ValueError(f"beta trace labels reach {beta_lo}, below 0")
-        # row blocks keep the boolean temporaries small next to the traces
-        for lo in range(0, self.alpha_trace.shape[0], _CHECK_ROWS):
-            rows = slice(lo, lo + _CHECK_ROWS)
-            if np.any((self.alpha_trace[rows] > 0) == (self.beta_trace[rows] > 0)):
-                raise ValueError("exactly one of alpha, beta must be positive")
+        self.pi_trace, self.gamma_trace, self.n_active_trace = pi_trace, gamma_trace, n_active_trace
+        self.atom_snapshots, self.meta = atom_snapshots, {} if meta is None else meta
+
+    @property
+    def alpha_trace(self) -> np.ndarray:
+        return zeta_to_alpha_beta(self.zeta_trace, self.n_known)[0]
+
+    @property
+    def beta_trace(self) -> np.ndarray:
+        return zeta_to_alpha_beta(self.zeta_trace, self.n_known)[1]
 
     @property
     def n_units(self) -> int:
-        return self.alpha_trace.shape[1]
+        return self.zeta_trace.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +476,7 @@ def _run_gibbs(family, hp: ChainSettings, record_atoms: bool, **meta) -> ChainOu
 
     n_keep = hp.n_iter - hp.n_burnin
     M = state.zeta.size
-    alpha_trace = np.empty((n_keep, M), dtype=np.int32)
-    beta_trace = np.empty((n_keep, M), dtype=np.int32)
+    zeta_trace = np.empty((n_keep, M), dtype=np.int32)
     pi_trace = np.empty((n_keep, J + 1))
     gamma_trace = np.empty(n_keep)
     n_active_trace = np.empty(n_keep, dtype=np.int32)
@@ -477,7 +487,7 @@ def _run_gibbs(family, hp: ChainSettings, record_atoms: bool, **meta) -> ChainOu
         i = it - hp.n_burnin
         if i < 0:
             continue
-        alpha_trace[i], beta_trace[i] = zeta_to_alpha_beta(state.zeta, J)
+        zeta_trace[i] = state.zeta
         pi_trace[i] = state.pi
         gamma_trace[i] = state.gamma
         n_active_trace[i] = state.L_star
@@ -486,7 +496,7 @@ def _run_gibbs(family, hp: ChainSettings, record_atoms: bool, **meta) -> ChainOu
                               **family.snapshot(state.known_atoms, state.novel_atoms)})
 
     return ChainOutput(
-        alpha_trace=alpha_trace, beta_trace=beta_trace, pi_trace=pi_trace,
+        zeta_trace=zeta_trace, pi_trace=pi_trace,
         gamma_trace=gamma_trace, n_active_trace=n_active_trace,
         n_known=J, seed=hp.seed, atom_snapshots=snapshots,
         meta={"n_iter": hp.n_iter, "n_burnin": hp.n_burnin, "kappa": hp.kappa, **meta})

@@ -304,6 +304,24 @@ class TestErrorPaths:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "summary").exists()
 
+    @pytest.mark.parametrize("name, dtype", [("alpha_trace", "<f8"), ("beta_trace", "<f4")])
+    def test_non_integer_trace_labels_leave_no_summary(self, name, dtype, tmp_path, capsys):
+        traces = tmp_path / "traces"
+        chain = ChainOutput(alpha_trace=np.ones((3, 2)), beta_trace=np.zeros((3, 2)),
+                            pi_trace=np.tile([0.5, 0.3, 0.2], (3, 1)),
+                            gamma_trace=np.ones(3), n_active_trace=np.full(3, 3),
+                            n_known=2, seed=0)
+        nio.save_chain(chain, traces)
+        trace = getattr(chain, name).astype(dtype)
+        trace[1, 0] += 0.9  # alpha 1.9 or beta 0.9 would truncate to a valid label
+        trace.tofile(traces / f"{name}.bin")
+        meta = json.loads((traces / "metadata.json").read_text())
+        meta["arrays"][name]["dtype"] = dtype
+        (traces / "metadata.json").write_text(json.dumps(meta))
+        assert run_cli("summarize", "--chain-dir", str(traces)) == 2
+        assert f"{name} has dtype {dtype}, not an integer type" in capsys.readouterr().err
+        assert not (tmp_path / "summary").exists()
+
     def test_malformed_data_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0,x\n")

@@ -329,7 +329,7 @@ class TestFunctionalChain:
         out = run_functional_chain(test, priors, hyper)
         from novelbayes.postprocess import ppn
 
-        p = ppn(out.alpha_trace)
+        p = ppn(out.zeta_trace, out.n_known)
         assert np.all(p[:8] < 0.2)
         assert np.all(p[8:] > 0.8)
 

@@ -26,67 +26,85 @@ from novelbayes.sampler import ChainOutput
 
 import oracles
 
+J = 3  # known classes of the traces below
+
+
+def _zeta(alpha, beta):
+    """Membership trace of an (alpha, beta) pair: class alpha, or J + beta."""
+    return np.where(np.asarray(beta) > 0, np.asarray(beta) + J, alpha)
+
+
+def _from_alpha(alpha):
+    """Membership trace with class alpha, and novelty cluster 1 where alpha = 0."""
+    alpha = np.asarray(alpha)
+    return np.where(alpha > 0, alpha, J + 1)
+
+
+def _from_beta(beta):
+    """Membership trace with novelty cluster beta, and class 1 where beta = 0."""
+    return _zeta(1, beta)
+
 
 class TestPpn:
     def test_always_novel(self):
-        assert ppn(np.zeros((7, 3)))[0] == 1.0
+        assert ppn(_from_alpha(np.zeros((7, 3), dtype=int)), J)[0] == 1.0
 
     def test_direct_count(self):
-        trace = np.array([[0], [1], [0], [2]])
-        assert ppn(trace)[0] == 0.5
+        trace = _from_alpha([[0], [1], [0], [2]])
+        assert ppn(trace, J)[0] == 0.5
 
     def test_range(self):
         rng = np.random.default_rng(0)
-        trace = rng.integers(0, 3, size=(50, 20))
-        p = ppn(trace)
+        trace = _from_alpha(rng.integers(0, 3, size=(50, 20)))
+        p = ppn(trace, J)
         assert np.all((p >= 0) & (p <= 1))
 
 
 class TestClassify:
     def test_majority(self):
-        trace = np.array([[1], [1], [1], [2]])
-        labels = classify(trace, np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+        trace = _from_alpha([[1], [1], [1], [2]])
+        labels = classify(trace, J, np.zeros(0, dtype=int), np.zeros(0, dtype=int))
         assert labels[0] == 1
 
     def test_tie_goes_to_smaller_label(self):
-        trace = np.array([[1], [2], [2], [1]])
-        labels = classify(trace, np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+        trace = _from_alpha([[1], [2], [2], [1]])
+        labels = classify(trace, J, np.zeros(0, dtype=int), np.zeros(0, dtype=int))
         assert labels[0] == 1
 
     def test_novel_units_get_cluster_ids(self):
-        trace = np.array([[0, 1], [0, 1], [2, 1]])
-        labels = classify(trace, np.array([4]), np.array([0]))
+        trace = _from_alpha([[0, 1], [0, 1], [2, 1]])
+        labels = classify(trace, J, np.array([4]), np.array([0]))
         assert labels[0] == -4
         assert labels[1] == 1
 
     def test_iteration_order_irrelevant(self):
         rng = np.random.default_rng(1)
-        trace = rng.integers(0, 4, size=(30, 8))
-        l1 = classify(trace, np.zeros(0, dtype=int), np.zeros(0, dtype=int))
-        l2 = classify(trace[::-1], np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+        trace = _from_alpha(rng.integers(0, 4, size=(30, 8)))
+        l1 = classify(trace, J, np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+        l2 = classify(trace[::-1], J, np.zeros(0, dtype=int), np.zeros(0, dtype=int))
         assert np.array_equal(l1, l2)
 
 
 class TestCoclustering:
     def test_identical_traces(self):
         beta = np.tile([1, 1], (6, 1))
-        P = coclustering(beta, np.array([0, 1]))
+        P = coclustering(_from_beta(beta), J, np.array([0, 1]))
         assert P[0, 1] == 1.0
 
     def test_direct_count(self):
         beta = np.array([[1, 1], [1, 2], [2, 2], [2, 1]])
-        P = coclustering(beta, np.array([0, 1]))
+        P = coclustering(_from_beta(beta), J, np.array([0, 1]))
         assert P[0, 1] == 0.5
 
     def test_known_iterations_excluded(self):
         # iterations where either unit sits in a known class do not count
         beta = np.array([[1, 0], [1, 1], [0, 1], [2, 2]])
-        P = coclustering(beta, np.array([0, 1]))
+        P = coclustering(_from_beta(beta), J, np.array([0, 1]))
         assert P[0, 1] == 1.0
 
     def test_no_shared_iterations_gives_zero(self):
         beta = np.array([[1, 0], [0, 1]])
-        P = coclustering(beta, np.array([0, 1]))
+        P = coclustering(_from_beta(beta), J, np.array([0, 1]))
         assert P[0, 1] == 0.0
         assert P[0, 0] == 1.0
 
@@ -94,7 +112,7 @@ class TestCoclustering:
         rng = np.random.default_rng(2)
         I = 10000
         beta = np.stack([rng.permutation([1, 1, 2, 2, 3, 3]) for _ in range(I)])
-        P = coclustering(beta, np.arange(6))
+        P = coclustering(_from_beta(beta), J, np.arange(6))
         # two fixed positions share a label with probability 1/5
         off = P[np.triu_indices(6, 1)]
         se = math.sqrt(0.2 * 0.8 / I)
@@ -104,16 +122,16 @@ class TestCoclustering:
         rng = np.random.default_rng(3)
         beta = rng.integers(0, 4, size=(200, 10))
         beta[0] = 1  # ensure every unit is novel at least once
-        P = coclustering(beta, np.arange(10))
+        P = coclustering(_from_beta(beta), J, np.arange(10))
         assert np.allclose(P, P.T)
         assert np.all(np.diag(P) == 1.0)
         assert np.all((P >= 0) & (P <= 1))
 
 
-def _traces(rng, n_scans, n_units, novel_labels, p_novel=0.6, n_known=3):
+def _traces(rng, n_scans, n_units, novel_labels, p_novel=0.6):
     """alpha/beta traces: each unit sits in a known class or in a novelty cluster."""
     novel = rng.random((n_scans, n_units)) < p_novel
-    alpha = np.where(novel, 0, rng.integers(1, n_known + 1, size=novel.shape))
+    alpha = np.where(novel, 0, rng.integers(1, J + 1, size=novel.shape))
     beta = np.where(novel, rng.choice(novel_labels, size=novel.shape), 0)
     return alpha, beta
 
@@ -144,12 +162,13 @@ def test_trace_passes_match_loop_references(case):
     seed, make, n_selected = _CASES[case]
     rng = np.random.default_rng(seed)
     alpha, beta = make(rng)
+    zeta = _zeta(alpha, beta)
     units = np.sort(rng.choice(beta.shape[1], size=n_selected, replace=False))
 
-    P = coclustering(beta, units)
+    P = coclustering(zeta, J, units)
     assert P.tobytes() == oracles.ppcm_slow(beta, units).tobytes()
 
-    cands = candidate_partitions(beta, units)
+    cands = candidate_partitions(zeta, J, units)
     want = oracles.candidates_slow(beta, units)
     assert len(cands) == len(want)
     for got, ref in zip(cands, want):
@@ -157,15 +176,15 @@ def test_trace_passes_match_loop_references(case):
         assert np.array_equal(got, ref)
 
     part = cands[-1]
-    assert np.array_equal(classify(alpha, part, units),
+    assert np.array_equal(classify(zeta, J, part, units),
                           oracles.classify_slow(alpha, part, units))
 
 
 def _visited(rng):
     """PPCM and candidates of random traces where units sometimes sit in a known class."""
-    _, beta = _traces(rng, 200, 12, np.arange(1, 5), p_novel=0.8)
+    zeta = _zeta(*_traces(rng, 200, 12, np.arange(1, 5), p_novel=0.8))
     units = np.arange(12)
-    return coclustering(beta, units), candidate_partitions(beta, units)
+    return coclustering(zeta, J, units), candidate_partitions(zeta, J, units)
 
 
 def _tied(rng):
@@ -208,12 +227,6 @@ def _zero_diagonal(rng):
     return P, cands
 
 
-def _zero_row(rng):
-    P, cands = _random_candidates(rng, 20)
-    P[3] = P[:, 3] = 0.0  # every score is nan, so the first candidate wins
-    return P, cands
-
-
 def _negative_entry(rng):
     P, cands = _random_candidates(rng, 20)
     P[0, 1] = P[1, 0] = -0.2
@@ -228,7 +241,6 @@ _VI_CASES = {
     "one candidate": lambda rng: (oracles.random_ppcm(6, rng), [np.array([5, 0, 5, -2, 9, 0])]),
     "several blocks": lambda rng: _random_candidates(rng, 5 * _VI_BLOCK + 3),
     "zero diagonal": _zero_diagonal,
-    "zero row": _zero_row,
     "negative entry": _negative_entry,
     "no units": lambda rng: (np.zeros((0, 0)), [np.zeros(0, dtype=int)] * 3),
 }
@@ -250,6 +262,16 @@ def test_vi_search_first_of_tied_minima_wins():
     P, cands = _tied(np.random.default_rng(0))
     got = best_partition_vi(P, cands)
     assert np.array_equal(got, cands[2])  # the first tied candidate, after two worse ones
+
+
+def test_zero_ppcm_row_rejected():
+    P, cands = _random_candidates(np.random.default_rng(0), 20)
+    P[3] = P[:, 3] = 0.0  # the expected VI of every candidate is undefined
+    with pytest.raises(ValueError, match="PPCM row 3 sums to zero"):
+        vi_score(P, cands[0])
+    for some in (cands, cands[:1]):
+        with pytest.raises(ValueError, match="PPCM row 3 sums to zero"):
+            best_partition_vi(P, some)
 
 
 @settings(max_examples=60, deadline=None)
@@ -314,12 +336,12 @@ class TestVi:
 class TestCandidates:
     def test_dedup_up_to_relabeling(self):
         beta = np.array([[1, 1, 2], [2, 2, 1], [1, 2, 2]])
-        cands = candidate_partitions(beta, np.arange(3))
+        cands = candidate_partitions(_from_beta(beta), J, np.arange(3))
         assert len(cands) == 2  # rows 1 and 2 are the same partition relabeled
 
     def test_zero_entries_become_singletons(self):
         beta = np.array([[1, 0, 1]])
-        (cand,) = candidate_partitions(beta, np.arange(3))
+        (cand,) = candidate_partitions(_from_beta(beta), J, np.arange(3))
         assert cand[0] == cand[2]
         assert cand[1] != cand[0]
 

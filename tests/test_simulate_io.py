@@ -1,13 +1,18 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from novelbayes import io as nio
 from novelbayes.errors import ParseError
 from novelbayes.functional import CurveSet
+from novelbayes.model import zeta_to_alpha_beta
 from novelbayes.robust import LabeledDataset, McdConfig, extract_class_priors
-from novelbayes.sampler import ChainOutput
+from novelbayes.sampler import _CHECK_ROWS, ChainOutput
 from novelbayes.simulate import (
     NOT_SMALL_TEST_SIZES,
     SMALL_TEST_SIZES,
@@ -158,3 +163,44 @@ class TestSummariesAndChains:
         cfg.write_text("eta 0.75\n")
         with pytest.raises(ParseError):
             nio.read_config(cfg)
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt")  # a csv trace of zero units holds no data
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4), st.sampled_from([1, 2, _CHECK_ROWS + 37]), st.integers(0, 4),
+       st.integers(0, 2**32 - 1))
+def test_zeta_and_label_traces_agree(n_known, n_scans, n_units, seed):
+    rng = np.random.default_rng(seed)
+    zeta = rng.integers(1, n_known + 6, size=(n_scans, n_units)).astype(np.int32)
+    alpha, beta = zeta_to_alpha_beta(zeta, n_known)
+    rest = dict(pi_trace=rng.dirichlet(np.ones(n_known + 1), size=n_scans),
+                gamma_trace=np.ones(n_scans), n_active_trace=np.full(n_scans, n_known + 5),
+                n_known=n_known, seed=seed)
+    from_zeta = ChainOutput(zeta_trace=zeta, **rest)
+    from_labels = ChainOutput(alpha_trace=alpha, beta_trace=beta, **rest)
+    for out in (from_zeta, from_labels):
+        assert out.zeta_trace.dtype == np.int32
+        assert np.array_equal(out.zeta_trace, zeta)
+        for got, want in ((out.alpha_trace, alpha), (out.beta_trace, beta)):
+            assert got.dtype == np.int32
+            assert np.array_equal(got, want)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = {fmt: Path(tmp, fmt) for fmt in nio.TRACE_FORMATS}
+        for fmt, directory in dirs.items():
+            nio.save_chain(from_zeta, directory, fmt=fmt)
+            back = nio.load_chain(directory)
+            assert back.zeta_trace.dtype == np.int32
+            assert np.array_equal(back.zeta_trace, zeta)
+        if n_scans <= _CHECK_ROWS or n_units == 0:
+            return
+        # flip one alpha past the first row block: neither or both positive
+        row, unit = rng.integers(_CHECK_ROWS, n_scans), rng.integers(n_units)
+        alpha[row, unit] = 0 if alpha[row, unit] else 1
+        with pytest.raises(ValueError, match="exactly one of alpha, beta must be positive"):
+            ChainOutput(alpha_trace=alpha, beta_trace=beta, **rest)
+        alpha.astype("<i4").tofile(dirs["bin"] / "alpha_trace.bin")
+        np.savetxt(dirs["csv"] / "alpha_trace.csv", alpha, fmt="%d", delimiter=",")
+        for directory in dirs.values():
+            with pytest.raises(ValueError, match="exactly one of alpha, beta must be positive"):
+                nio.load_chain(directory)
