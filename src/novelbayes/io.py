@@ -166,12 +166,14 @@ def _write_array(directory: Path, name: str, arr: np.ndarray, fmt: str) -> dict:
 
 
 def _read_array(directory: Path, entry: dict) -> np.ndarray:
-    path = directory / entry["file"]
+    path, dtype, shape = directory / entry["file"], np.dtype(entry["dtype"]), entry["shape"]
     if entry["format"] == "bin":
-        arr = np.fromfile(path, dtype=np.dtype(entry["dtype"]))
-        return arr.reshape(entry["shape"])
-    arr = np.loadtxt(path, delimiter=",", dtype=np.dtype(entry["dtype"]), ndmin=2)
-    return arr.reshape(entry["shape"])
+        return np.fromfile(path, dtype=dtype).reshape(shape)
+    if 0 in shape:  # no data to parse, and loadtxt warns about that
+        if not path.is_file():
+            raise FileNotFoundError(f"{path} not found.")  # what loadtxt raises
+        return np.empty(shape, dtype=dtype)
+    return np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2).reshape(shape)
 
 
 def save_chain(output: ChainOutput, directory, fmt: str = "bin"):

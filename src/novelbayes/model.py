@@ -1,9 +1,12 @@
 """Core probability model: hyperparameters, stick breaking, the deterministic
 slice sequence with its truncation rule, the membership-index mapping, Gaussian
-primitives, and closed-form prior moments of the mixing measure.
+primitives, the two chi-square values, and closed-form prior moments of the
+mixing measure.
 
 Everything in this module is a pure function of its inputs; the sampler owns
-all mutable state.
+all mutable state.  This module is the package's only door to scipy: its
+LAPACK and chi-square helpers call ``scipy.linalg.lapack`` and
+``scipy.special`` directly, and the other modules call those helpers.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Union
 import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrs, dtrtrs
+from scipy.special import chdtr, gammaincinv
 
 from .errors import EmptySlice, NotPositiveDefinite
 
@@ -240,11 +244,20 @@ def zeta_to_alpha_beta(zeta, n_known: int):
     zeta = np.asarray(zeta)
     if np.any(zeta < 1):
         raise ValueError("zeta indices are 1-based")
-    beta = np.maximum(zeta - n_known, 0)  # peaks one array lower than a zeta <= J mask
-    alpha = np.where(beta > 0, 0, zeta)
+    alpha, beta = _alpha_of(zeta, n_known), _beta_of(zeta, n_known)
     if zeta.ndim == 0:
         return int(alpha), int(beta)
     return alpha, beta
+
+
+def _alpha_of(zeta: np.ndarray, n_known: int) -> np.ndarray:
+    """Known-class label of each 1-based membership index (0 = novelty)."""
+    return np.where(zeta > n_known, 0, zeta)
+
+
+def _beta_of(zeta: np.ndarray, n_known: int) -> np.ndarray:
+    """Novelty-cluster label of each 1-based membership index (0 = known)."""
+    return np.maximum(zeta - n_known, 0)
 
 
 def alpha_beta_to_zeta(alpha, beta, n_known: int):
@@ -298,6 +311,18 @@ def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     if info != 0:
         raise ValueError(f"illegal value in {-info}th argument of internal potrs")
     return x
+
+
+def _chi2_ppf(q: float, df: int) -> float:
+    """``scipy.stats.chi2.ppf(q, df)`` for 0 < q < 1: the kernel that
+    method calls, without importing ``scipy.stats``."""
+    return 2 * gammaincinv(df / 2, q)
+
+
+def _chi2_cdf(x: float, df: int) -> float:
+    """``scipy.stats.chi2.cdf(x, df)`` for x >= 0: the kernel that method
+    calls, without importing ``scipy.stats``."""
+    return chdtr(df, x)
 
 
 def _mahalanobis_chol(X: np.ndarray, mean: np.ndarray, cov: np.ndarray):

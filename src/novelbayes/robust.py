@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import chi2
 
 from .errors import (
     DegenerateData,
@@ -22,7 +21,7 @@ from .errors import (
     NumericalError,
     SingularSubset,
 )
-from .model import _chol, _mahalanobis_chol, _solve_triangular
+from .model import _chi2_cdf, _chi2_ppf, _chol, _mahalanobis_chol, _solve_triangular
 
 _DET_TOL = 1e-9  # relative slack when checking the C-step descent property
 _MAX_CONDITION = 1000.0  # bound on the condition number of an MRCD scatter
@@ -147,8 +146,8 @@ def consistency_factor(eta: float, p: int) -> float:
         raise ValueError("p must be a positive integer")
     if eta == 1.0:
         return 1.0
-    q = chi2.ppf(eta, df=p)
-    return float(eta / chi2.cdf(q, df=p + 2))
+    q = _chi2_ppf(eta, p)
+    return float(eta / _chi2_cdf(q, p + 2))
 
 
 def _subset_moments(X: np.ndarray, idx: np.ndarray):

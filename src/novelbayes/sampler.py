@@ -48,6 +48,9 @@ from .model import (
     GaussianAtom,
     Hyperparameters,
     NIWParams,
+    _alpha_of,
+    _beta_of,
+    _chi2_ppf,
     _mahalanobis_chol,
     _solve_triangular,
     alpha_beta_to_zeta,
@@ -55,7 +58,6 @@ from .model import (
     stick_breaking,
     truncation_level,
     xi_values,
-    zeta_to_alpha_beta,
 )
 from .robust import RobustClassSummary
 
@@ -143,11 +145,11 @@ class ChainOutput:
 
     @property
     def alpha_trace(self) -> np.ndarray:
-        return zeta_to_alpha_beta(self.zeta_trace, self.n_known)[0]
+        return _alpha_of(self.zeta_trace, self.n_known)
 
     @property
     def beta_trace(self) -> np.ndarray:
-        return zeta_to_alpha_beta(self.zeta_trace, self.n_known)[1]
+        return _beta_of(self.zeta_trace, self.n_known)
 
     @property
     def n_units(self) -> int:
@@ -450,14 +452,12 @@ def _initial_state(family, hp: ChainSettings) -> ChainState:
     for a conditional sampler, splitting a merged one is not, so the initial
     partition errs on the fine side.
     """
-    from scipy.stats import chi2
-
     M = family.data.shape[0]
     zeta = np.zeros(0, dtype=int)
     if M:
         d2, df = family.start_distances()
         zeta = np.argmin(d2, axis=1) + 1
-        far = d2[np.arange(M), zeta - 1] > chi2.ppf(0.999, df=df)
+        far = d2[np.arange(M), zeta - 1] > _chi2_ppf(0.999, df)
         zeta[far] = hp.n_known + 1 + np.arange(np.count_nonzero(far))
     gamma = hp.gamma.mean if hp.gamma_is_random else float(hp.gamma)
     return ChainState(

@@ -304,6 +304,19 @@ class TestErrorPaths:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "summary").exists()
 
+    @pytest.mark.parametrize("n_units", [0, 2])
+    def test_missing_csv_trace_file_is_data_error(self, n_units, tmp_path, capsys):
+        traces = tmp_path / "traces"
+        chain = ChainOutput(zeta_trace=np.ones((3, n_units)),
+                            pi_trace=np.tile([0.5, 0.3, 0.2], (3, 1)),
+                            gamma_trace=np.ones(3), n_active_trace=np.full(3, 3),
+                            n_known=2, seed=0)
+        nio.save_chain(chain, traces, fmt="csv")
+        (traces / "alpha_trace.csv").unlink()
+        assert run_cli("summarize", "--chain-dir", str(traces)) == 2
+        assert capsys.readouterr().err == f"error: {traces / 'alpha_trace.csv'} not found.\n"
+        assert not (tmp_path / "summary").exists()
+
     @pytest.mark.parametrize("name, dtype", [("alpha_trace", "<f8"), ("beta_trace", "<f4")])
     def test_non_integer_trace_labels_leave_no_summary(self, name, dtype, tmp_path, capsys):
         traces = tmp_path / "traces"

@@ -1,11 +1,16 @@
 """Every module of the package and of its tests uses each name it imports,
 and every private module-level name of the package is read somewhere in it.
+Only ``model.py`` imports scipy, no package module imports inside a
+function, and importing the CLI does not load ``scipy.stats``.
 
 The package's ``__init__`` is the exception to the first rule: its imports
 are the public API.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,3 +92,61 @@ def test_the_scan_finds_an_unused_private_definition():
 def test_no_unused_private_definitions():
     sources = {p.name: p.read_text() for p in PACKAGE}
     assert _unused_private_definitions(sources) == []
+
+
+def _scipy_imports(source: str) -> list:
+    """Import statements that name scipy or one of its subpackages."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {m}" for m in modules
+                  if m == "scipy" or m.startswith("scipy.")]
+    return found
+
+
+def test_the_scan_finds_a_scipy_import():
+    source = ("import scipy\nimport numpy, scipy.special as sp\nfrom scipy.stats import chi2\n"
+              "from .scipy_like import x\nimport scipyx\n\ndef f():\n    from scipy import linalg\n")
+    assert _scipy_imports(source) == ["line 1: scipy", "line 2: scipy.special",
+                                      "line 3: scipy.stats", "line 8: scipy"]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "model.py"],
+                         ids=lambda p: p.name)
+def test_only_model_imports_scipy(path):
+    assert _scipy_imports(path.read_text()) == []
+
+
+def _imports_in_functions(source: str) -> list:
+    """Import statements inside a function body, with the function's name."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.update(f"line {node.lineno}: {fn.name}" for node in ast.walk(fn)
+                         if isinstance(node, (ast.Import, ast.ImportFrom)))
+    return sorted(found)
+
+
+def test_the_scan_finds_an_import_in_a_function():
+    source = ("import os\n\ndef f():\n    import sys\n    return os, sys\n\n"
+              "class C:\n    async def g(self):\n        from math import pi\n        return pi\n")
+    assert _imports_in_functions(source) == ["line 4: f", "line 9: g"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_imports_in_function_bodies(path):
+    assert _imports_in_functions(path.read_text()) == []
+
+
+def test_importing_the_cli_leaves_scipy_stats_out():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    code = ("import sys, novelbayes.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout == "[]\n"

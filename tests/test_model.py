@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve, solve_triangular
+from scipy.stats import chi2
 
 from novelbayes.errors import EmptySlice, NotPositiveDefinite
 from novelbayes.functional import FunctionalHyper
@@ -13,6 +14,8 @@ from novelbayes.model import (
     Hyperparameters,
     NIWParams,
     PriorMoments,
+    _chi2_cdf,
+    _chi2_ppf,
     _cho_solve,
     _mahalanobis_chol,
     _solve_triangular,
@@ -277,6 +280,30 @@ class TestSolveLower:
         want = _outcome(lambda: solve_triangular(L, np.ones((2, 3)), lower=True))
         assert _outcome(lambda: log_gaussian_density_many(np.ones((3, 2)),
                                                           np.zeros(2), cov)) == want
+
+
+class TestChiSquare:
+    """The two scipy.special kernels give scipy.stats.chi2's values bit for
+    bit: the eta-quantiles and cdf of the MCD consistency factor and the
+    99.9% start gate, for p = 1..300."""
+
+    DF = np.arange(1, 301)
+    ETA = np.arange(500, 1000, 5) / 1000  # the trimming fractions eta in [0.5, 1)
+    Q = np.concatenate([[1e-4, 0.01, 0.1, 0.25], ETA, [0.999, 0.9999]])
+
+    def test_quantiles_and_cdf_bitwise_equal_to_scipy_stats(self):
+        df, q = self.DF[:, None], self.Q[None, :]
+        x = _chi2_ppf(q, df)
+        assert x.dtype == np.float64 and x.tobytes() == chi2.ppf(q, df).tobytes()
+        assert _chi2_cdf(x, df + 2).tobytes() == chi2.cdf(x, df + 2).tobytes()
+
+    def test_scalar_calls_bitwise_equal_to_scipy_stats(self):
+        """Python scalars, as consistency_factor and the start gate pass them."""
+        for df in range(1, 301):
+            for q in (0.5, 0.75, 0.875, 0.999):
+                x = _chi2_ppf(q, df)
+                assert x.tobytes() == chi2.ppf(q, df=df).tobytes()
+                assert _chi2_cdf(x, df + 2).tobytes() == chi2.cdf(x, df=df + 2).tobytes()
 
 
 def _settings(cls, **kw):

@@ -165,7 +165,7 @@ class TestSummariesAndChains:
             nio.read_config(cfg)
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt")  # a csv trace of zero units holds no data
+@pytest.mark.filterwarnings("error")  # a csv trace of zero units must load without warning
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 4), st.sampled_from([1, 2, _CHECK_ROWS + 37]), st.integers(0, 4),
        st.integers(0, 2**32 - 1))
