@@ -365,14 +365,16 @@ class CurveFamily:
         sigma2 = _sample_ig(rng, *sigma2_conditional(sq, n, hyper.a_H, hyper.b_H))
         return FunctionalNovelAtom(rho=rho, psi=psi, tau2=tau2, sigma2=sigma2, curve=curve)
 
-    def loglik(self, known: list, novel: list, eligible: np.ndarray) -> np.ndarray:
-        """Every column in full; ``eligible`` is not used.  A row subset of
-        the ``resid**2 @ (1/sigma2)`` product is not bit-identical to those
-        rows of the full product (the BLAS blocks the rows), so computing
-        only the eligible rows would change the chain."""
+    def loglik(self, known: list, novel: list, u: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """Every column in full, then -inf on the cells where u_m >= xi_l.
+        A row subset of the ``resid**2 @ (1/sigma2)`` product is not
+        bit-identical to those rows of the full product (the BLAS blocks the
+        rows), so computing only the eligible rows would change the chain."""
         cols = [_curve_loglik(self.data, f, s2) for f, s2 in known]
         cols += [_curve_loglik(self.data, at.curve, at.sigma2) for at in novel]
-        return np.column_stack(cols)
+        out = np.column_stack(cols)
+        out[u[:, None] >= xi] = -np.inf
+        return out
 
     def snapshot(self, known: list, novel: list) -> dict:
         return {"known": [{"mean_curve": f.tolist()} for f, _ in known],

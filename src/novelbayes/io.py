@@ -154,7 +154,7 @@ def summaries_to_json(summaries: list, path):
 def _write_array(directory: Path, name: str, arr: np.ndarray, fmt: str) -> dict:
     if fmt == "bin":
         fname = f"{name}.bin"
-        arr.astype(arr.dtype.newbyteorder("<")).tofile(directory / fname)
+        arr.astype(arr.dtype.newbyteorder("<"), copy=False).tofile(directory / fname)
     elif fmt == "csv":
         fname = f"{name}.csv"
         np.savetxt(directory / fname, np.atleast_2d(arr),

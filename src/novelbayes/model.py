@@ -63,7 +63,7 @@ class NIWParams:
     def scale_chol(self) -> np.ndarray:
         """Lower Cholesky factor of ``scale_matrix``, computed on first use
         (the parameters are not changed after construction)."""
-        return np.asarray_chkfinite(_chol(self.scale_matrix))
+        return _chol(self.scale_matrix)
 
 
 @dataclass
@@ -257,7 +257,8 @@ def _alpha_of(zeta: np.ndarray, n_known: int) -> np.ndarray:
 
 def _beta_of(zeta: np.ndarray, n_known: int) -> np.ndarray:
     """Novelty-cluster label of each 1-based membership index (0 = known)."""
-    return np.maximum(zeta - n_known, 0)
+    beta = np.asarray(zeta - n_known)  # one array, clipped in place
+    return np.maximum(beta, 0, out=beta)
 
 
 def alpha_beta_to_zeta(alpha, beta, n_known: int):
@@ -277,8 +278,13 @@ def alpha_beta_to_zeta(alpha, beta, n_known: int):
 # ---------------------------------------------------------------------------
 
 def _chol(cov: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of one covariance or of an (n, p, p) stack:
+    ``NotPositiveDefinite`` for a failed factorisation, and the
+    ``asarray_chkfinite`` ValueError for a NaN or inf, which numpy passes
+    through to the factor.  A stack is factored by one call, whose factors
+    equal the one-matrix calls bit for bit."""
     try:
-        return np.linalg.cholesky(cov)
+        return np.asarray_chkfinite(np.linalg.cholesky(cov))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("covariance is not positive definite") from exc
 
@@ -328,26 +334,31 @@ def _chi2_cdf(x: float, df: int) -> float:
 def _mahalanobis_chol(X: np.ndarray, mean: np.ndarray, cov: np.ndarray):
     """Squared Mahalanobis distance of every row of X from ``mean`` under
     ``cov``, and the Cholesky factor of ``cov``.  The rows of X are finite
-    (the data are checked when loaded); numpy passes a NaN or inf in ``cov``
-    through to the factor, so the factor and ``mean`` are checked here."""
-    L = np.asarray_chkfinite(_chol(cov))
-    Z = _solve_triangular(L, (X - np.asarray_chkfinite(mean)).T)
-    return (Z * Z).sum(axis=0), L
+    (the data are checked when loaded); ``mean`` is checked here."""
+    L = _chol(cov)
+    return _factor_distances(X, np.asarray_chkfinite(mean), L), L
+
+
+def _factor_distances(X: np.ndarray, mean: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis distances of the rows of X under the factor L."""
+    Z = _solve_triangular(L, (X - mean).T)
+    return (Z * Z).sum(axis=0)
 
 
 def log_gaussian_density(x: np.ndarray, atom: GaussianAtom) -> float:
     """log N(x; mean, cov) for one point: the one-row case of
     :func:`log_gaussian_density_many`."""
-    return float(log_gaussian_density_many(np.ravel(x), atom.mean, atom.cov)[0])
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    return float(log_gaussian_density_many(x, np.asarray_chkfinite(atom.mean),
+                                           _chol(atom.cov))[0])
 
 
-def log_gaussian_density_many(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Row-wise log N(x_m; mean, cov) for a whole data matrix, via a
-    Cholesky solve."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    quad, L = _mahalanobis_chol(X, mean, cov)
-    logdet = 2.0 * np.log(L.diagonal()).sum()
-    return -0.5 * (X.shape[1] * LOG_2PI + logdet + quad)
+def log_gaussian_density_many(X: np.ndarray, mean: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """Row-wise log N(x_m; mean, cov) for an (n, p) float block of rows,
+    from the lower Cholesky factor ``chol`` of cov.  ``mean`` and ``chol``
+    are finite (:func:`_chol` gives such a factor)."""
+    logdet = 2.0 * np.log(chol.diagonal()).sum()
+    return -0.5 * (X.shape[1] * LOG_2PI + logdet + _factor_distances(X, mean, chol))
 
 
 # ---------------------------------------------------------------------------

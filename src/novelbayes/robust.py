@@ -334,7 +334,7 @@ def mrcd(data: np.ndarray, cfg: McdConfig,
         target = np.asarray(target, dtype=float)
 
     # whiten so the target is the identity
-    C = np.asarray_chkfinite(_chol(target))
+    C = _chol(target)
     Xw = _solve_triangular(C, X.T).T
 
     c0 = consistency_factor(cfg.eta, p)

@@ -22,9 +22,10 @@ as ``data`` (one row per unit) and provides
 - ``draw_known(j, members, prev, rng)`` and ``draw_novel(members, prev,
   rng)``: one slot's atom from the row indices of its members and the
   slot's previous atom (None for a novelty slot drawn for the first time);
-- ``loglik(known, novel, eligible)``: the (M, L) log-likelihood of every
-  unit under every atom.  Only the cells where ``eligible`` (u_m < xi_l)
-  holds are ever used, so a family may leave the others at -inf;
+- ``loglik(known, novel, u, xi)``: the (M, L) log-likelihood of every unit
+  under every atom on the cells where u_m < xi_l, and -inf on the others.
+  xi does not increase, so sorted by u the eligible units of every column
+  are a prefix of the rows, which a family may use to compute only those;
 - ``snapshot(known, novel)``: the atoms as a JSON-ready dict.
 
 :class:`GaussianFamily` below serves the multivariate model; the curve
@@ -51,6 +52,7 @@ from .model import (
     _alpha_of,
     _beta_of,
     _chi2_ppf,
+    _chol,
     _mahalanobis_chol,
     _solve_triangular,
     alpha_beta_to_zeta,
@@ -173,21 +175,21 @@ def niw_posterior(prior: NIWParams, obs: np.ndarray) -> NIWParams:
     n = obs.shape[0] if obs.size else 0
     if n == 0:
         return prior
-    xbar = obs.mean(axis=0)
+    xbar = obs.sum(axis=0) / n  # the bits of obs.mean(axis=0)
     dev = obs - xbar
     Sx = dev.T @ dev
     lam_n = prior.precision_scale + n
     mean = (prior.precision_scale * prior.mean + n * xbar) / lam_n
     diff = xbar - prior.mean
-    scale = prior.scale_matrix + Sx + (prior.precision_scale * n / lam_n) * np.outer(diff, diff)
+    scale = prior.scale_matrix + Sx \
+        + (prior.precision_scale * n / lam_n) * (diff[:, None] * diff)  # np.outer's bits
     return NIWParams(mean, lam_n, prior.dof + n, scale)
 
 
 @cache
-def _bartlett_index(p: int):
-    """Degree-of-freedom offsets, diagonal and strict lower-triangle indices
-    of a p x p Bartlett factor."""
-    return np.arange(p), np.diag_indices(p), np.tril_indices(p, -1)
+def _strict_lower(p: int):
+    """Strict lower-triangle indices of a p x p Bartlett factor."""
+    return np.tril_indices(p, -1)
 
 
 def sample_niw(params: NIWParams, rng: np.random.Generator) -> GaussianAtom:
@@ -197,14 +199,15 @@ def sample_niw(params: NIWParams, rng: np.random.Generator) -> GaussianAtom:
     is SPD by construction and E[cov] = S / (nu - p - 1).
     """
     p = params.dim
-    C = params.scale_chol
-    offsets, diag, tril = _bartlett_index(p)
     A = np.zeros((p, p))
-    A[diag] = np.sqrt(rng.chisquare(params.dof - offsets))
+    # one scalar draw per degree of freedom: the calls and values of an
+    # array draw, without its per-call cost
+    for i in range(p):
+        A[i, i] = math.sqrt(rng.chisquare(params.dof - i))
     if p > 1:
-        A[tril] = rng.standard_normal(p * (p - 1) // 2)
+        A[_strict_lower(p)] = rng.standard_normal(p * (p - 1) // 2)
     # cov = C (A A^T)^{-1} C^T
-    M = _solve_triangular(A, C.T).T
+    M = _solve_triangular(A, params.scale_chol.T).T
     cov = M @ M.T
     cov = 0.5 * (cov + cov.T)
     mean = params.mean + (M @ rng.standard_normal(p)) / math.sqrt(params.precision_scale)
@@ -281,19 +284,59 @@ def _label_swap_sweep(zeta: np.ndarray, atoms: list, v: np.ndarray, n_known: int
             break
 
 
+# The screen's tolerance, relative to 1 + |best score|.  numpy's gumbel is
+# -log(-log(1 - d)) of one double d per cell, with libm's log; the screen
+# uses numpy's log.  If both logs are within k units in the last place, a
+# cell's noise differs between the two by at most about 76 k eps (eps =
+# 2^-52): the inner log is 2k eps off relatively, which the outer log passes
+# on as an absolute error, and the outer log is 2k eps off relatively on a
+# value of size at most 36.8, since d >= 2^-53.  Rounding a score s adds
+# eps |s|.  So a cell screened more than 1e-9 (1 + |best|) below the best
+# one is below it exactly for any k < 10^4: near the best, the two cells'
+# errors sum to at most (152 k + 3 |best| + 1) eps, less than that margin,
+# and a cell with |s| > 2 |best| + 1 lies further below than its own error.
+# Every other cell is re-scored with libm.
+_SCREEN_TOL = 1e-9
+
+
 def _sample_allocations(rng, log_lik, weights, u, xi) -> np.ndarray:
     """Draw zeta_m from P(zeta_m = l) ∝ (w_l / xi_l) 1{u_m < xi_l} lik(m, l).
 
-    ``log_lik`` is (M, L); sampling uses the Gumbel-argmax identity in log
-    space, which sidesteps underflow for far-away points entirely.
+    ``log_lik`` is (M, L) and -inf on the cells where u_m >= xi_l (``u`` and
+    ``xi`` only document that).  Sampling is the Gumbel argmax in log space,
+    which sidesteps underflow, with the draws of ``rng.gumbel(size=(M, L))``:
+    its uniforms are drawn at once, the scores are screened with numpy's
+    log, and a unit whose best cell is within the screen's error of another
+    cell is re-scored with ``math.log`` (libm, as in numpy's gumbel) and
+    takes the first exact maximum.  gumbel redraws a uniform of exactly 0,
+    so then the generator is rewound and gumbel itself is called.
     """
     with np.errstate(divide="ignore"):
         log_w = np.log(weights) - np.log(xi)
-    logits = log_lik + log_w[None, :]
-    logits = np.where(u[:, None] < xi[None, :], logits, -np.inf)
-    if not np.all(np.max(logits, axis=1) > -np.inf):
+    logits = log_lik + log_w
+    state = rng.bit_generator.state
+    U = rng.random(logits.shape)
+    screened = bool(U.all())
+    if screened:  # in place: logits - log(-log(1 - U))
+        scores = np.subtract(1.0, U)
+        np.log(scores, out=scores)
+        np.log(np.negative(scores, out=scores), out=scores)
+        np.subtract(logits, scores, out=scores)
+    else:
+        rng.bit_generator.state = state
+        scores = logits + rng.gumbel(size=logits.shape)
+    best = scores.argmax(axis=1)
+    top = scores[np.arange(best.size), best]
+    if not np.all(top > -np.inf):
         raise AllSlicesEmpty("a unit has no eligible component; sampler invariant broken")
-    return np.argmax(logits + rng.gumbel(size=logits.shape), axis=1) + 1
+    if screened:
+        near = scores >= (top - _SCREEN_TOL * (1.0 + np.abs(top)))[:, None]
+        if np.count_nonzero(near) > best.size:  # some unit has a second cell near its best
+            for m in np.flatnonzero(np.count_nonzero(near, axis=1) > 1).tolist():
+                cells = np.flatnonzero(near[m]).tolist()
+                exact = [logits[m, l] - math.log(-math.log(1.0 - U[m, l])) for l in cells]
+                best[m] = cells[exact.index(max(exact))]
+    return best + 1
 
 
 def _members(labels: np.ndarray, counts: np.ndarray) -> list:
@@ -352,20 +395,30 @@ class GaussianFamily:
             return sample_niw(self.base_measure, rng)
         return sample_niw(niw_posterior(self.base_measure, self.data[members]), rng)
 
-    def loglik(self, known: list, novel: list, eligible: np.ndarray) -> np.ndarray:
-        """Densities on the eligible cells, -inf elsewhere.  A column with
-        one eligible row is computed in full: a one-row solve can differ in
-        the last bits from that row of a many-row solve, while any subset of
-        two or more rows reproduces it exactly."""
-        M = self.data.shape[0]
-        out = np.full(eligible.shape, -np.inf)
-        for l, atom in enumerate(known + novel):
-            rows = np.flatnonzero(eligible[:, l])
-            if rows.size in (1, M):
-                out[rows, l] = log_gaussian_density_many(self.data, atom.mean, atom.cov)[rows]
-            elif rows.size:
-                out[rows, l] = log_gaussian_density_many(self.data[rows], atom.mean, atom.cov)
-        return out
+    def loglik(self, known: list, novel: list, u: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """Densities on the eligible cells, -inf elsewhere.
+
+        Sorted by u, the units eligible for column l are the first n_l rows,
+        so each density is computed on a contiguous prefix, from one stacked
+        factorisation of all covariances.  A one-row column is computed on
+        two rows: a one-row solve can differ in the last bits from that row
+        of a many-row solve, while any block of two or more rows reproduces
+        it exactly (a chain of one unit has only the one row)."""
+        atoms = known + novel
+        order = np.argsort(u)
+        n_rows = np.searchsorted(u[order], xi).tolist()
+        X = self.data[order]
+        means = np.asarray_chkfinite([a.mean for a in atoms])
+        factors = _chol(np.array([a.cov for a in atoms]))
+        block = min(2, u.size)
+        out = np.full((u.size, len(atoms)), -np.inf)
+        for l, n in enumerate(n_rows):
+            if n:
+                out[:n, l] = log_gaussian_density_many(X[:max(n, block)], means[l],
+                                                       factors[l])[:n]
+        unsorted = np.empty_like(out)
+        unsorted[order] = out
+        return unsorted
 
     def snapshot(self, known: list, novel: list) -> dict:
         return {"known": [a.to_dict() for a in known],
@@ -422,9 +475,7 @@ def gibbs_step(state: ChainState, family, hp: ChainSettings,
     # 9. allocation over eligible components
     if M:
         xi = xi_values(kappa, J, L)
-        eligible = u[:, None] < xi[None, :]
-        zeta = _sample_allocations(rng, family.loglik(known, novel, eligible),
-                                   pitilde, u, xi)
+        zeta = _sample_allocations(rng, family.loglik(known, novel, u, xi), pitilde, u, xi)
 
     # 10. concentration parameter, from the new novelty partition
     gamma = state.gamma

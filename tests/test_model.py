@@ -17,6 +17,7 @@ from novelbayes.model import (
     _chi2_cdf,
     _chi2_ppf,
     _cho_solve,
+    _chol,
     _mahalanobis_chol,
     _solve_triangular,
     alpha_beta_to_zeta,
@@ -185,7 +186,7 @@ class TestLogGaussian:
         cov = np.array([[2.0, 0.3], [0.3, 1.0]])
         mean = np.array([1.0, -1.0])
         X = rng.normal(size=(20, 2))
-        batch = log_gaussian_density_many(X, mean, cov)
+        batch = log_gaussian_density_many(X, mean, np.linalg.cholesky(cov))
         single = [log_gaussian_density(x, GaussianAtom(mean, cov)) for x in X]
         assert batch == pytest.approx(single, rel=1e-13)
 
@@ -278,8 +279,9 @@ class TestSolveLower:
         cov = np.array([[bad, 0.0], [0.0, 1.0]])
         L = np.linalg.cholesky(cov)  # numpy passes the NaN or inf through
         want = _outcome(lambda: solve_triangular(L, np.ones((2, 3)), lower=True))
-        assert _outcome(lambda: log_gaussian_density_many(np.ones((3, 2)),
-                                                          np.zeros(2), cov)) == want
+        atom = GaussianAtom(np.zeros(2), cov)
+        assert _outcome(lambda: log_gaussian_density(np.ones(2), atom)) == want
+        assert _outcome(lambda: _chol(np.stack([np.eye(2), cov]))) == want
 
 
 class TestChiSquare:

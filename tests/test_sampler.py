@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
-from novelbayes.errors import NotPositiveDefinite
+from novelbayes import sampler
+from novelbayes.errors import AllSlicesEmpty, NotPositiveDefinite
 from novelbayes.model import (
     GammaPrior,
+    GaussianAtom,
     Hyperparameters,
     NIWParams,
     log_gaussian_density_many,
@@ -76,6 +78,21 @@ class TestNiwPosterior:
         assert seq.precision_scale == pytest.approx(batch.precision_scale)
         assert seq.dof == pytest.approx(batch.dof)
         assert seq.scale_matrix == pytest.approx(batch.scale_matrix, rel=1e-10)
+
+    @pytest.mark.parametrize("p, n", [(1, 1), (2, 2), (2, 37), (7, 5)])
+    def test_bits_equal_the_mean_and_outer_product_formula(self, p, n):
+        rng = np.random.default_rng(10 * p + n)
+        prior = NIWParams(rng.normal(size=p), 0.3, p + 4.0, np.eye(p) + 0.1)
+        obs = rng.normal(size=(n, p)) * 4.0
+        xbar = obs.mean(axis=0)
+        dev = obs - xbar
+        lam = prior.precision_scale + n
+        diff = xbar - prior.mean
+        scale = prior.scale_matrix + dev.T @ dev \
+            + (prior.precision_scale * n / lam) * np.outer(diff, diff)
+        post = niw_posterior(prior, obs)
+        assert np.array_equal(post.mean, (prior.precision_scale * prior.mean + n * xbar) / lam)
+        assert np.array_equal(post.scale_matrix, scale)
 
     def test_grid_integration_oracle(self):
         # p = 1, two observations: prior x likelihood and the analytic
@@ -171,11 +188,23 @@ class TestSampleNiw:
             assert np.array_equal(atom.mean, mean) and np.array_equal(atom.cov, cov)
 
 
+def _full_columns(data, atoms):
+    """Every unit's density under every atom, one full column per atom."""
+    return np.column_stack([log_gaussian_density_many(data, a.mean, np.linalg.cholesky(a.cov))
+                            for a in atoms])
+
+
+def _family(data, n_known):
+    p = data.shape[1]
+    return GaussianFamily(TestDataset(data), [_summary(np.zeros(p), np.eye(p))] * n_known,
+                          _hyper([5] * n_known, p))
+
+
 @st.composite
 def _masked_loglik_case(draw):
-    """Data, atoms and an eligibility mask built like the sampler's (u_m <
-    xi_l, so the tail columns thin out geometrically), with one column
-    forced to a single eligible row and one forced to all rows."""
+    """Data, atoms and slice variables built like the sampler's (u_m < xi_l,
+    so the tail columns thin out geometrically), with one column's xi moved
+    to admit a single unit and one's to admit all units."""
     p = draw(st.integers(1, 8))
     M = draw(st.integers(2, 60))
     J = draw(st.integers(1, 3))
@@ -186,27 +215,65 @@ def _masked_loglik_case(draw):
     atoms = [sample_niw(base, rng) for _ in range(J + K)]
     xi = xi_values(0.5, J, J + K)
     u = rng.random(M) * xi[J]
-    eligible = u[:, None] < xi[None, :]
     single, full = draw(st.lists(st.integers(J + 1, J + K - 1), min_size=2,
                                  max_size=2, unique=True))
-    eligible[:, single] = False
-    eligible[draw(st.integers(0, M - 1)), single] = True
-    eligible[:, full] = True
-    return data, atoms[:J], atoms[J:], eligible
+    lowest, second = np.sort(u)[:2]
+    xi[single] = np.nextafter(lowest, 1.0) if lowest < second else lowest
+    xi[full] = 1.0
+    return data, atoms[:J], atoms[J:], u, xi
 
 
 @settings(max_examples=80, deadline=None)
 @given(_masked_loglik_case())
 def test_masked_loglik_equals_full_loglik_on_eligible_cells(case):
-    data, known, novel, eligible = case
-    p = data.shape[1]
-    family = GaussianFamily(TestDataset(data), [_summary(np.zeros(p), np.eye(p))] * len(known),
-                            _hyper([5] * len(known), p))
-    full = np.column_stack([log_gaussian_density_many(data, a.mean, a.cov)
-                            for a in known + novel])
-    got = family.loglik(known, novel, eligible)
+    data, known, novel, u, xi = case
+    eligible = u[:, None] < xi
+    full = _full_columns(data, known + novel)
+    got = _family(data, len(known)).loglik(known, novel, u, xi)
     assert np.array_equal(got[eligible], full[eligible])
     assert np.all(got[~eligible] == -np.inf)
+
+
+@pytest.mark.parametrize("p", [1, 2, 7])
+@pytest.mark.parametrize("M", [1, 2, 3, 40, 950])
+def test_prefix_densities_equal_full_columns_bit_for_bit(p, M):
+    """The u-sorted prefix blocks reproduce full-column densities, for
+    columns of 0, 1, 2, M - 1 and M eligible units."""
+    rng = np.random.default_rng(100 * p + M)
+    data = rng.normal(size=(M, p)) * 3.0
+    base = NIWParams(np.zeros(p), 0.1, p + 2.0, np.eye(p))
+    atoms = [sample_niw(base, rng) for _ in range(8)]
+    u = rng.random(M)
+    us = np.sort(u)
+    xi = np.array([1.0, us[0], np.nextafter(us[0], 2.0), us[min(1, M - 1)],
+                   np.nextafter(us[min(1, M - 1)], 2.0), us[-1], 1.0, 0.0])
+    eligible = u[:, None] < xi
+    assert {0, 1, min(2, M), max(M - 1, 0), M} <= set(eligible.sum(axis=0).tolist())
+    got = _family(data, 2).loglik(atoms[:2], atoms[2:], u, xi)
+    assert np.array_equal(got[eligible], _full_columns(data, atoms)[eligible])
+    assert np.all(got[~eligible] == -np.inf)
+
+
+@pytest.mark.parametrize("bad, error", [(-np.eye(2), NotPositiveDefinite),
+                                        (np.diag([np.nan, 1.0]), ValueError),
+                                        (np.diag([np.inf, 1.0]), ValueError)])
+def test_stacked_factorisation_keeps_the_typed_errors(bad, error):
+    rng = np.random.default_rng(0)
+    data = rng.normal(size=(6, 2))
+    base = NIWParams(np.zeros(2), 0.1, 4.0, np.eye(2))
+    atoms = [sample_niw(base, rng) for _ in range(4)]
+    atoms[2] = GaussianAtom(np.zeros(2), bad)
+    with pytest.raises(error):
+        _family(data, 1).loglik(atoms[:1], atoms[1:], rng.random(6) * 0.1,
+                                np.full(4, 0.5))
+
+
+def test_stacked_factorisation_rejects_a_non_finite_mean():
+    rng = np.random.default_rng(1)
+    atoms = [GaussianAtom(np.zeros(2), np.eye(2)), GaussianAtom([0.0, np.nan], np.eye(2))]
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        _family(rng.normal(size=(4, 2)), 1).loglik(atoms[:1], atoms[1:], np.full(4, 0.1),
+                                                   np.full(2, 0.5))
 
 
 def test_start_distance_with_non_spd_scatter_is_a_numerical_error():
@@ -234,12 +301,59 @@ class TestUpdateGamma:
             assert np.quantile(many, q) > np.quantile(few, q)
 
 
+def _gumbel_allocations(rng, log_lik, weights, xi):
+    """The allocation draw as numpy's gumbel makes it, at full shape."""
+    with np.errstate(divide="ignore"):
+        logits = log_lik + (np.log(weights) - np.log(xi))
+    return np.argmax(logits + rng.gumbel(size=logits.shape), axis=1) + 1
+
+
+def _staircase_case(seed, M, L):
+    """Log-likelihoods that are -inf where u_m >= xi_l, as a family gives them."""
+    rng = np.random.default_rng(seed)
+    xi = xi_values(0.5, 2, L)
+    u = rng.random(M) * xi[rng.integers(0, L, M)]
+    log_lik = np.where(u[:, None] < xi, rng.normal(size=(M, L)) * 5.0, -np.inf)
+    return log_lik, rng.dirichlet(np.ones(L)), u, xi
+
+
+class _CountingMath:
+    """Stands in for the sampler's ``math`` module and counts ``log`` calls."""
+
+    def __init__(self):
+        self.logs = 0
+
+    def log(self, x):
+        self.logs += 1
+        return math.log(x)
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+
+class _ZeroUniform:
+    """A generator whose ``random`` puts an exact 0 into the block it
+    returns, as numpy's gumbel would meet one; everything else is the
+    wrapped generator's."""
+
+    def __init__(self, rng):
+        self.rng, self.bit_generator = rng, rng.bit_generator
+
+    def random(self, size):
+        U = self.rng.random(size)
+        U.flat[U.size // 2] = 0.0
+        return U
+
+    def gumbel(self, size):
+        return self.rng.gumbel(size=size)
+
+
 class TestAllocations:
     def test_single_eligible_component(self):
         rng = np.random.default_rng(8)
-        log_lik = np.zeros((5, 3))
         xi = np.array([0.5, 0.3, 0.2])
         u = np.full(5, 0.4)  # only component 1 is eligible
+        log_lik = np.where(u[:, None] < xi, 0.0, -np.inf)
         zeta = _sample_allocations(rng, log_lik, np.array([0.2, 0.4, 0.4]), u, xi)
         assert np.all(zeta == 1)
 
@@ -258,6 +372,50 @@ class TestAllocations:
         zeta = _sample_allocations(rng, log_lik, np.array([0.5, 0.5]),
                                    np.full(50, 0.1), np.array([0.5, 0.5]))
         assert np.all(zeta == 1)
+
+    @pytest.mark.parametrize("seed, M, L", [(0, 1, 4), (1, 7, 3), (2, 950, 46),
+                                            (3, 300, 80), (4, 105, 12)])
+    def test_labels_and_generator_state_equal_the_gumbel_draw(self, seed, M, L):
+        log_lik, weights, u, xi = _staircase_case(seed, M, L)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got = _sample_allocations(got_rng, log_lik, weights, u, xi)
+            want = _gumbel_allocations(want_rng, log_lik, weights, xi)
+            assert np.array_equal(got, want)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_near_ties_take_the_first_exact_maximum(self, monkeypatch):
+        """Scores that tie exactly, or differ by one unit in the last place,
+        under the libm noise the draw will see: the screen cannot order
+        them, so every unit is re-scored exactly."""
+        M, seed = 2000, 12
+        g = np.random.default_rng(seed).gumbel(size=(M, 3))
+        log_lik = -g  # with w = xi every exact score is -g + g = 0
+        up = np.arange(M) % 3 == 1  # these units have cell 1 one step ahead
+        log_lik[up, 1] = np.nextafter(-g[up, 1], np.inf)
+        log_lik[np.arange(M) % 3 == 2, 0] = -np.inf
+        w = np.full(3, 0.25)
+        counter = _CountingMath()
+        monkeypatch.setattr(sampler, "math", counter)
+        got = _sample_allocations(np.random.default_rng(seed), log_lik, w, np.zeros(M), w)
+        want = _gumbel_allocations(np.random.default_rng(seed), log_lik, w, w)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.unique(want[up]), [2]) and np.all(want[~up] < 3)
+        assert counter.logs >= 2 * 2 * M  # two logs per cell, two or more cells per unit
+
+    def test_a_zero_uniform_falls_back_to_the_gumbel_stream(self):
+        log_lik, weights, u, xi = _staircase_case(5, 200, 20)
+        rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = _sample_allocations(_ZeroUniform(rng), log_lik, weights, u, xi)
+        assert np.array_equal(got, _gumbel_allocations(want_rng, log_lik, weights, xi))
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_a_unit_without_an_eligible_cell_is_an_error(self):
+        log_lik = np.zeros((3, 2))
+        log_lik[1] = -np.inf
+        with pytest.raises(AllSlicesEmpty):
+            _sample_allocations(np.random.default_rng(0), log_lik, np.array([0.5, 0.5]),
+                                np.full(3, 0.1), np.array([0.5, 0.5]))
 
 
 class TestGibbsStep:
