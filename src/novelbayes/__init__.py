@@ -79,6 +79,7 @@ from .sampler import (
     ChainState,
     TestDataset,
     gibbs_step,
+    niw_atoms,
     niw_posterior,
     run_chain,
     sample_niw,

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DimensionMismatch, GridMismatch, InvalidKnots, RankDeficientBasis
 from .model import ChainSettings, _chol, _cho_solve, _solve_triangular
 from .robust import LabeledDataset, McdConfig, extract_class_priors
-from .sampler import ChainOutput, _run_gibbs
+from .sampler import ChainOutput, Staircase, _run_gibbs
 
 _NOISE_FLOOR = 1e-12
 
@@ -365,16 +365,21 @@ class CurveFamily:
         sigma2 = _sample_ig(rng, *sigma2_conditional(sq, n, hyper.a_H, hyper.b_H))
         return FunctionalNovelAtom(rho=rho, psi=psi, tau2=tau2, sigma2=sigma2, curve=curve)
 
-    def loglik(self, known: list, novel: list, u: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """Every column in full, then -inf on the cells where u_m >= xi_l.
+    def draw_atoms(self, members: list, known: list, novel: list, rng) -> tuple:
+        J = len(known)
+        return ([self.draw_known(j, rows, atom, rng)
+                 for j, (rows, atom) in enumerate(zip(members[:J], known))],
+                [self.draw_novel(rows, novel[h] if h < len(novel) else None, rng)
+                 for h, rows in enumerate(members[J:])])
+
+    def loglik(self, known: list, novel: list, stair: Staircase) -> np.ndarray:
+        """Every column in full, then its eligible cells in staircase order.
         A row subset of the ``resid**2 @ (1/sigma2)`` product is not
         bit-identical to those rows of the full product (the BLAS blocks the
         rows), so computing only the eligible rows would change the chain."""
         cols = [_curve_loglik(self.data, f, s2) for f, s2 in known]
         cols += [_curve_loglik(self.data, at.curve, at.sigma2) for at in novel]
-        out = np.column_stack(cols)
-        out[u[:, None] >= xi] = -np.inf
-        return out
+        return np.array(cols)[stair.col, stair.unit]
 
     def snapshot(self, known: list, novel: list) -> dict:
         return {"known": [{"mean_curve": f.tolist()} for f, _ in known],

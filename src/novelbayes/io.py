@@ -22,11 +22,13 @@ import numpy as np
 from .errors import DimensionMismatch, ParseError
 from .functional import CurveSet
 from .robust import LabeledDataset
-from .sampler import ChainOutput, TestDataset, _zeta_from_labels
+from .model import _alpha_of, _beta_of
+from .sampler import _CHECK_ROWS, ChainOutput, TestDataset, _zeta_from_labels
 
 FORMAT_VERSION = 1
 TRACE_FORMATS = ("bin", "csv")  # flat little-endian binary, or CSV
 _TRACE_ARRAYS = ("alpha_trace", "beta_trace", "pi_trace", "gamma_trace", "n_active_trace")
+_LABELS_OF = {"alpha_trace": _alpha_of, "beta_trace": _beta_of}
 
 # sha256 digests pin the copies we validated against; None = accept any and
 # report, for sources that occasionally re-serve with altered whitespace
@@ -151,18 +153,22 @@ def summaries_to_json(summaries: list, path):
 # chain persistence
 # ---------------------------------------------------------------------------
 
-def _write_array(directory: Path, name: str, arr: np.ndarray, fmt: str) -> dict:
-    if fmt == "bin":
-        fname = f"{name}.bin"
-        arr.astype(arr.dtype.newbyteorder("<"), copy=False).tofile(directory / fname)
-    elif fmt == "csv":
-        fname = f"{name}.csv"
-        np.savetxt(directory / fname, np.atleast_2d(arr),
-                   fmt="%.17g" if arr.dtype.kind == "f" else "%d", delimiter=",")
-    else:
+def _write_array(directory: Path, name: str, blocks, dtype: np.dtype, shape: tuple,
+                 fmt: str) -> dict:
+    """Write an array of ``dtype`` and ``shape`` given as its consecutive row
+    blocks; the file has the bytes of a whole-array write."""
+    if fmt not in TRACE_FORMATS:
         raise ValueError(f"fmt must be one of {', '.join(TRACE_FORMATS)}")
-    return {"file": fname, "dtype": f"<{arr.dtype.kind}{arr.dtype.itemsize}",
-            "shape": list(arr.shape), "format": fmt}
+    fname = f"{name}.{fmt}"
+    with open(directory / fname, "wb") as fh:
+        for block in blocks:
+            if fmt == "bin":
+                block.astype(dtype.newbyteorder("<"), copy=False).tofile(fh)
+            else:
+                np.savetxt(fh, np.atleast_2d(block), fmt="%.17g" if dtype.kind == "f" else "%d",
+                           delimiter=",")
+    return {"file": fname, "dtype": f"<{dtype.kind}{dtype.itemsize}", "shape": list(shape),
+            "format": fmt}
 
 
 def _read_array(directory: Path, entry: dict) -> np.ndarray:
@@ -182,30 +188,63 @@ def save_chain(output: ChainOutput, directory, fmt: str = "bin"):
     directory.mkdir(parents=True, exist_ok=True)
     meta = {"format_version": FORMAT_VERSION, "n_known": output.n_known,
             "seed": output.seed, "meta": output.meta, "arrays": {}}
+    zeta, J = output.zeta_trace, output.n_known
     for name in _TRACE_ARRAYS:
-        meta["arrays"][name] = _write_array(directory, name, getattr(output, name), fmt)
+        if name in _LABELS_OF:  # derived from zeta one row block at a time
+            blocks = (_LABELS_OF[name](zeta[lo:lo + _CHECK_ROWS], J)
+                      for lo in range(0, zeta.shape[0], _CHECK_ROWS))
+            entry = _write_array(directory, name, blocks, zeta.dtype, zeta.shape, fmt)
+        else:
+            arr = getattr(output, name)
+            entry = _write_array(directory, name, [arr], arr.dtype, arr.shape, fmt)
+        meta["arrays"][name] = entry
     if output.atom_snapshots is not None:
         (directory / "atoms.json").write_text(json.dumps(output.atom_snapshots))
         meta["atoms"] = "atoms.json"
     (directory / "metadata.json").write_text(json.dumps(meta, indent=1, sort_keys=True))
 
 
+def _trace_rows(directory: Path, entry: dict):
+    """A reader of row slices of a stored label trace, as int32: a binary
+    trace is read from its file one slice at a time, a CSV trace whole."""
+    path, dtype, shape = directory / entry["file"], np.dtype(entry["dtype"]), entry["shape"]
+    if entry["format"] != "bin":
+        trace = _read_array(directory, entry)
+        return lambda rows: trace[rows].astype(np.int32, copy=False)
+    n_rows, width = shape
+    size = path.stat().st_size  # a missing file fails here, as a whole read would
+    if size != n_rows * width * dtype.itemsize:
+        raise ParseError(f"{path}: {size} bytes, not the {n_rows * width * dtype.itemsize} "
+                         f"of a {dtype.str} trace of shape {tuple(shape)}")
+
+    def rows(block: slice) -> np.ndarray:
+        lo, hi = block.start, min(block.stop, n_rows)
+        data = np.fromfile(path, dtype=dtype, count=(hi - lo) * width,
+                           offset=lo * width * dtype.itemsize)
+        return data.reshape(hi - lo, width).astype(np.int32, copy=False)
+
+    return rows
+
+
 def load_chain(directory) -> ChainOutput:
     directory = Path(directory)
     meta = json.loads((directory / "metadata.json").read_text())
     try:
-        arrays = {name: _read_array(directory, meta["arrays"][name]) for name in _TRACE_ARRAYS}
+        arrays = {name: (_trace_rows if name == "beta_trace" else _read_array)(
+            directory, meta["arrays"][name]) for name in _TRACE_ARRAYS}
         n_known, seed, run_meta = meta["n_known"], meta["seed"], meta["meta"]
     except KeyError as exc:
         raise ParseError(f"{directory / 'metadata.json'}: missing key {exc}") from exc
-    alpha, beta = arrays.pop("alpha_trace"), arrays.pop("beta_trace")
-    for name, trace in (("alpha_trace", alpha), ("beta_trace", beta)):
-        if trace.dtype.kind not in "iu":
+    alpha, beta_rows = arrays.pop("alpha_trace"), arrays.pop("beta_trace")
+    beta = meta["arrays"]["beta_trace"]
+    for name, dtype in (("alpha_trace", alpha.dtype), ("beta_trace", np.dtype(beta["dtype"]))):
+        if dtype.kind not in "iu":
             raise ParseError(f"{directory / 'metadata.json'}: {name} has dtype "
-                             f"{trace.dtype.str}, not an integer type")
-    # zeta overwrites the alpha buffer, so alpha, beta and zeta never coexist in full
-    zeta = _zeta_from_labels(alpha.astype(np.int32, copy=False),
-                             beta.astype(np.int32, copy=False), n_known)
+                             f"{dtype.str}, not an integer type")
+    # zeta overwrites the alpha buffer and beta is read in row blocks, so
+    # only one full label trace is ever held
+    zeta = _zeta_from_labels(alpha.astype(np.int32, copy=False), beta_rows, beta["shape"],
+                             n_known)
     snapshots = None
     if "atoms" in meta:
         snapshots = json.loads((directory / meta["atoms"]).read_text())

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -58,12 +57,6 @@ class NIWParams:
     @property
     def dim(self) -> int:
         return self.mean.size
-
-    @cached_property
-    def scale_chol(self) -> np.ndarray:
-        """Lower Cholesky factor of ``scale_matrix``, computed on first use
-        (the parameters are not changed after construction)."""
-        return _chol(self.scale_matrix)
 
 
 @dataclass
@@ -289,7 +282,8 @@ def _chol(cov: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite("covariance is not positive definite") from exc
 
 
-def _solve_triangular(A: np.ndarray, B: np.ndarray, lower: bool = True) -> np.ndarray:
+def _solve_triangular(A: np.ndarray, B: np.ndarray, lower: bool = True,
+                      overwrite: bool = False) -> np.ndarray:
     """``scipy.linalg.solve_triangular(A, B, lower=lower)`` for float64
     arrays, without the wrapper's per-call overhead.
 
@@ -297,11 +291,12 @@ def _solve_triangular(A: np.ndarray, B: np.ndarray, lower: bool = True) -> np.nd
     and raises the wrapper's error for a singular ``A``.  The wrapper also
     rejects non-finite arrays (ValueError); callers check, with
     ``np.asarray_chkfinite``, whichever of their inputs can be non-finite.
+    With ``overwrite`` an F-ordered ``B`` is solved in place.
     """
     if A.flags.f_contiguous:  # also every 1 x 1 factor
-        x, info = dtrtrs(A, B, lower=int(lower))
+        x, info = dtrtrs(A, B, lower=int(lower), overwrite_b=int(overwrite))
     else:  # a C-ordered factor: solve the transposed system
-        x, info = dtrtrs(A.T, B, lower=int(not lower), trans=1)
+        x, info = dtrtrs(A.T, B, lower=int(not lower), trans=1, overwrite_b=int(overwrite))
     if info > 0:
         raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     if info < 0:
@@ -336,29 +331,44 @@ def _mahalanobis_chol(X: np.ndarray, mean: np.ndarray, cov: np.ndarray):
     ``cov``, and the Cholesky factor of ``cov``.  The rows of X are finite
     (the data are checked when loaded); ``mean`` is checked here."""
     L = _chol(cov)
-    return _factor_distances(X, np.asarray_chkfinite(mean), L), L
+    return _block_distances(X - np.asarray_chkfinite(mean), L[None], [X.shape[0]]), L
 
 
-def _factor_distances(X: np.ndarray, mean: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """Squared Mahalanobis distances of the rows of X under the factor L."""
-    Z = _solve_triangular(L, (X - mean).T)
-    return (Z * Z).sum(axis=0)
+def _block_distances(D: np.ndarray, factors, sizes) -> np.ndarray:
+    """Squared Mahalanobis norms of the rows of the (N, p) block D of
+    deviations: the k-th run of ``sizes[k]`` rows under the lower factor
+    ``factors[k]``.  D is taken as a C-ordered float64 block (copied only if
+    it is not one, else overwritten), so D.T is an F-ordered (p, N) block
+    and each run is solved in place by one LAPACK call on a contiguous
+    slice, the call a one-run block gets; the norms are one reduction over
+    the whole block, the reduction of each run alone."""
+    Z = np.ascontiguousarray(D, dtype=np.float64).T
+    lo = 0
+    for L, n in zip(factors, sizes):
+        if n:
+            _solve_triangular(L, Z[:, lo:lo + n], overwrite=True)
+        lo += n
+    return np.multiply(Z, Z, out=Z).sum(axis=0)
 
 
 def log_gaussian_density(x: np.ndarray, atom: GaussianAtom) -> float:
     """log N(x; mean, cov) for one point: the one-row case of
     :func:`log_gaussian_density_many`."""
     x = np.asarray(x, dtype=float).reshape(1, -1)
-    return float(log_gaussian_density_many(x, np.asarray_chkfinite(atom.mean),
-                                           _chol(atom.cov))[0])
+    return float(log_gaussian_density_many(x, np.asarray_chkfinite(atom.mean)[None],
+                                           _chol(atom.cov)[None], [1])[0])
 
 
-def log_gaussian_density_many(X: np.ndarray, mean: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    """Row-wise log N(x_m; mean, cov) for an (n, p) float block of rows,
-    from the lower Cholesky factor ``chol`` of cov.  ``mean`` and ``chol``
-    are finite (:func:`_chol` gives such a factor)."""
-    logdet = 2.0 * np.log(chol.diagonal()).sum()
-    return -0.5 * (X.shape[1] * LOG_2PI + logdet + _factor_distances(X, mean, chol))
+def log_gaussian_density_many(X: np.ndarray, means: np.ndarray, chols: np.ndarray,
+                              sizes) -> np.ndarray:
+    """Row-wise log N(x; mean_k, cov_k) for an (N, p) float block of row
+    runs: the k-th run of ``sizes[k]`` rows under ``means[k]`` and the lower
+    Cholesky factor ``chols[k]`` of cov_k.  ``means`` and ``chols`` are
+    finite (:func:`_chol` gives such factors); each density has the bits of
+    a one-run call."""
+    logdet = 2.0 * np.log(chols.diagonal(axis1=1, axis2=2)).sum(axis=1)
+    d2 = _block_distances(X - np.repeat(means, sizes, axis=0), chols, sizes)
+    return -0.5 * (np.repeat(X.shape[1] * LOG_2PI + logdet, sizes) + d2)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,14 @@ from .errors import (
     NumericalError,
     SingularSubset,
 )
-from .model import _chi2_cdf, _chi2_ppf, _chol, _mahalanobis_chol, _solve_triangular
+from .model import (
+    _block_distances,
+    _chi2_cdf,
+    _chi2_ppf,
+    _chol,
+    _mahalanobis_chol,
+    _solve_triangular,
+)
 
 _DET_TOL = 1e-9  # relative slack when checking the C-step descent property
 _MAX_CONDITION = 1000.0  # bound on the condition number of an MRCD scatter
@@ -151,11 +158,12 @@ def consistency_factor(eta: float, p: int) -> float:
 
 
 def _subset_moments(X: np.ndarray, idx: np.ndarray):
-    sub = X[idx]
-    mean = sub.mean(axis=0)
-    dev = sub - mean
-    cov = dev.T @ dev / (len(idx) - 1)
-    return mean, cov
+    """Mean and covariance of the rows ``idx`` of X, or of each row of an
+    (S, h) stack of subsets; a stacked subset gets the bits of its own call."""
+    dev = X[idx]
+    mean = dev.mean(axis=-2)
+    dev -= mean[..., None, :]
+    return mean, np.swapaxes(dev, -1, -2) @ dev / (idx.shape[-1] - 1)
 
 
 def _sq_mahalanobis(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -165,73 +173,159 @@ def _sq_mahalanobis(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndar
         raise SingularSubset("subset covariance is singular") from exc
 
 
+def _stacked_sq_mahalanobis(X: np.ndarray, means: np.ndarray, covs: np.ndarray):
+    """:func:`_sq_mahalanobis` of every (mean, cov) pair of a stack, as an
+    (S, n) array, and the error each failing pair raises by position.  The
+    factors come from one stacked call; when it fails, the pairs are taken
+    one by one."""
+    S, n, p = len(means), X.shape[0], X.shape[1]
+    try:
+        factors = _chol(covs)
+        np.asarray_chkfinite(means)
+    except (NotPositiveDefinite, ValueError):
+        dist, errors = np.empty((S, n)), {}
+        for k in range(S):
+            try:
+                dist[k] = _sq_mahalanobis(X, means[k], covs[k])
+            except (SingularSubset, ValueError) as exc:
+                errors[k] = exc
+        return dist, errors
+    D = X - means[:, None, :]
+    return _block_distances(D.reshape(S * n, p), factors, [n] * S).reshape(S, n), {}
+
+
 def _smallest_h(dist: np.ndarray, h: int) -> np.ndarray:
     # stable sort: ties in distance resolve to the lowest row index
-    return np.sort(np.argsort(dist, kind="stable")[:h])
+    return np.sort(np.argsort(dist, axis=-1, kind="stable")[..., :h], axis=-1)
 
 
-def _slogdet_spd(cov: np.ndarray) -> float:
+def _slogdet_spd(cov: np.ndarray):
+    """Log-determinants of an SPD matrix or of a stack, and where they are
+    not positive (sign <= 0 or not finite)."""
     sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0 or not np.isfinite(logdet):
-        raise SingularSubset("subset covariance determinant is not positive")
-    return float(logdet)
+    return logdet, (sign <= 0) | ~np.isfinite(logdet)
+
+
+def _singular_determinant() -> SingularSubset:
+    return SingularSubset("subset covariance determinant is not positive")
+
+
+# Starts run as stacks of at most this many floats per (n, p) distance
+# block and (p, p) scatter, which bounds the memory a stack adds.
+_STACK_FLOATS = 1 << 14
+
+
+def _stack_size(n: int, p: int) -> int:
+    return max(1, _STACK_FLOATS // (n * p + p * p))
 
 
 # ---------------------------------------------------------------------------
 # FAST-MCD
 # ---------------------------------------------------------------------------
 
-def _elemental_start(X: np.ndarray, h: int, rng: np.random.Generator) -> np.ndarray:
-    """One random (p+1)-point elemental set expanded to an h-subset."""
+def _elemental_starts(X: np.ndarray, h: int, perms: np.ndarray):
+    """Each permutation's first p + 1 rows expanded to an h-subset; a
+    start whose elemental set is singular grows it by its next row, and
+    fails once the set holds all rows.  Returns the (S, h) subsets and the
+    error of each failing start by position."""
     n, p = X.shape
-    order = rng.permutation(n)
-    size = p + 1
-    while True:
-        idx = np.sort(order[:size])
-        mean, cov = _subset_moments(X, idx)
-        try:
-            dist = _sq_mahalanobis(X, mean, cov)
-            return _smallest_h(dist, h)
-        except SingularSubset:
-            size += 1
-            if size > n:
-                raise
+    starts, errors = np.zeros((len(perms), h), dtype=np.intp), {}
+    todo, size = np.arange(len(perms)), p + 1
+    while todo.size:
+        mean, cov = _subset_moments(X, np.sort(perms[todo, :size], axis=1))
+        dist, failed = _stacked_sq_mahalanobis(X, mean, cov)
+        fine = np.array([k not in failed for k in range(todo.size)])
+        starts[todo[fine]] = _smallest_h(dist[fine], h)
+        retry = [k for k, exc in failed.items() if isinstance(exc, SingularSubset) and size < n]
+        errors.update({int(todo[k]): exc for k, exc in failed.items() if k not in retry})
+        todo, size = todo[sorted(retry)], size + 1
+    return starts, errors
 
 
-def _concentrate(X: np.ndarray, idx: np.ndarray, h: int, max_csteps: int, scatter):
-    """Concentration steps from an initial h-subset, minimizing det S with
-    S = ``scatter(subset covariance)``; returns (subset, mean, S, log det S)
-    at the fixed point.  det S never increases along the way; a violation
-    beyond floating-point slack is a NumericalError (a bug, not a data problem).
+def _concentrate(X: np.ndarray, starts: np.ndarray, h: int, max_csteps: int, scatter):
+    """Concentration steps from each initial h-subset of the (S, h) stack
+    ``starts``, minimizing det S with S = ``scatter(subset covariance)``.
+
+    Returns the fits (subsets, means, S, log det S, C-steps run) at each
+    start's fixed point, and the error each failing start raises by
+    position.  det S never increases along the way; a violation beyond
+    floating-point slack is a NumericalError (a bug, not a data problem).
+    The stack is taken together, and each start gets the bits of its own
+    run: a start leaves the stack when its subset repeats, its determinant
+    stops falling, ``max_csteps`` steps have run, or it fails.
     """
+    idx = starts.copy()
     mean, cov = _subset_moments(X, idx)
     S = scatter(cov)
-    logdet = _slogdet_spd(S)
+    logdet, bad = _slogdet_spd(S)
+    steps = np.zeros(len(idx), dtype=np.intp)
+    errors = {int(k): _singular_determinant() for k in np.flatnonzero(bad)}
+    live = ~bad
     for _ in range(max_csteps):
-        dist = _sq_mahalanobis(X, mean, S)
-        new_idx = _smallest_h(dist, h)
-        if np.array_equal(new_idx, idx):
+        act = np.flatnonzero(live)
+        if act.size == 0:
             break
+        steps[act] += 1
+        dist, failed = _stacked_sq_mahalanobis(X, mean[act], S[act])
+        for k, exc in failed.items():
+            errors[int(act[k])] = exc
+        fine = np.array([k not in failed for k in range(act.size)])
+        act = act[fine]
+        new_idx = _smallest_h(dist[fine], h)
+        moved = ~(new_idx == idx[act]).all(axis=1)
+        live[act[~moved]] = False
+        act, new_idx = act[moved], new_idx[moved]
+        if act.size == 0:
+            continue
         new_mean, new_cov = _subset_moments(X, new_idx)
         new_S = scatter(new_cov)
-        new_logdet = _slogdet_spd(new_S)
-        if new_logdet > logdet + _DET_TOL * max(1.0, abs(logdet)):
-            raise NumericalError("C-step determinant increased")
-        converged = new_logdet >= logdet - _DET_TOL * max(1.0, abs(logdet))
-        idx, mean, S, logdet = new_idx, new_mean, new_S, new_logdet
-        if converged:
-            break
-    return idx, mean, S, logdet
+        new_logdet, bad = _slogdet_spd(new_S)
+        tol = _DET_TOL * np.maximum(1.0, np.abs(logdet[act]))
+        rose = ~bad & (new_logdet > logdet[act] + tol)
+        for k in np.flatnonzero(bad | rose).tolist():
+            errors[int(act[k])] = _singular_determinant() if bad[k] else \
+                NumericalError("C-step determinant increased")
+        live[act[bad | rose]] = False
+        keep = ~(bad | rose)
+        done = new_logdet[keep] >= (logdet[act] - tol)[keep]
+        act = act[keep]
+        idx[act], mean[act], S[act], logdet[act] = \
+            new_idx[keep], new_mean[keep], new_S[keep], new_logdet[keep]
+        live[act[done]] = False
+    return (idx, mean, S, logdet, steps), errors
 
 
-def _best(fits):
-    """The fit with the smallest log-determinant; the first one wins ties."""
-    return min(fits, key=lambda fit: fit[3])
+def _best(stacks):
+    """The fit with the smallest log-determinant over a sequence of
+    (fits, errors) stacks of consecutive starts, the first one winning ties;
+    the first failing start's error is raised instead."""
+    best = None
+    for fits, errors in stacks:
+        if errors:
+            raise errors[min(errors)]
+        k = int(np.argmin(fits[3]))
+        if best is None or fits[3][k] < best[3]:
+            best = tuple(f[k] for f in fits)
+    return best
 
 
-def _c_steps(X: np.ndarray, idx: np.ndarray, h: int, max_csteps: int):
+def _c_steps(X: np.ndarray, starts: np.ndarray, h: int, max_csteps: int):
     """MCD concentration: minimizes the plain subset covariance determinant."""
-    return _concentrate(X, idx, h, max_csteps, lambda cov: cov)
+    return _concentrate(X, starts, h, max_csteps, lambda cov: cov)
+
+
+def _mcd_stacks(X: np.ndarray, h: int, cfg: McdConfig, rng: np.random.Generator):
+    """The C-step fits of the FAST-MCD starts, one stack at a time; the
+    generator draws only the elemental permutations, so drawing a stack's
+    permutations first keeps every start's."""
+    n, p = X.shape
+    size = _stack_size(n, p)
+    for lo in range(0, cfg.n_starts, size):
+        perms = np.array([rng.permutation(n) for _ in range(min(size, cfg.n_starts - lo))])
+        starts, errors = _elemental_starts(X, h, perms)
+        first = min(errors, default=len(perms))  # no later start can matter
+        fits, c_errors = _c_steps(X, starts[:first], h, cfg.max_csteps) if first else (None, {})
+        yield fits, c_errors or errors
 
 
 def fast_mcd(data: np.ndarray, cfg: McdConfig,
@@ -263,24 +357,23 @@ def fast_mcd(data: np.ndarray, cfg: McdConfig,
     c0 = consistency_factor(cfg.eta, p)
     if h == n:
         mean, cov = _subset_moments(X, np.arange(n))
-        logdet = _slogdet_spd(cov)
+        logdet, bad = _slogdet_spd(cov)
+        if bad:
+            raise _singular_determinant()
         return RobustClassSummary(
             mean=mean, scatter=c0 * cov, untrimmed=np.arange(n),
             method="MCD", determinant=float(np.exp(logdet)),
-            log_determinant=logdet)
+            log_determinant=float(logdet))
 
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 
-    # a generator, so each start is drawn right before its C-steps run
-    idx, mean, cov, logdet = _best(
-        _c_steps(X, _elemental_start(X, h, rng), h, cfg.max_csteps)
-        for _ in range(cfg.n_starts))
+    idx, mean, cov, logdet, _ = _best(_mcd_stacks(X, h, cfg, rng))
     # final SPD check of the reported scatter
     _sq_mahalanobis(X[:1], mean, cov)
     return RobustClassSummary(
         mean=mean, scatter=c0 * cov, untrimmed=idx, method="MCD",
-        determinant=float(np.exp(logdet)), log_determinant=logdet)
+        determinant=float(np.exp(logdet)), log_determinant=float(logdet))
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +389,10 @@ def _condition_number(K: np.ndarray) -> float:
     return float(eig[-1] / eig[0])
 
 
-def _mrcd_c_steps(X, idx, h, rho, c0, max_csteps):
+def _mrcd_c_steps(X, starts, h, rho, c0, max_csteps):
     """MRCD concentration: minimizes the regularized scatter's determinant."""
     p = X.shape[1]
-    return _concentrate(X, idx, h, max_csteps, lambda cov: _regularized(cov, rho, c0, p))
+    return _concentrate(X, starts, h, max_csteps, lambda cov: _regularized(cov, rho, c0, p))
 
 
 def mrcd(data: np.ndarray, cfg: McdConfig,
@@ -349,18 +442,20 @@ def mrcd(data: np.ndarray, cfg: McdConfig,
         if _condition_number(_regularized(cov0, rho, c0, p)) <= _MAX_CONDITION:
             break
 
-    starts = [idx0] + [np.sort(rng.choice(n, size=h, replace=False))
-                       for _ in range(cfg.n_starts - 1)]
+    starts = np.array([idx0] + [np.sort(rng.choice(n, size=h, replace=False))
+                                for _ in range(cfg.n_starts - 1)])
+    size = _stack_size(n, p)
 
     for rho in _RHO_GRID[start_pos:]:
-        idx, mean_w, K, logdet_w = _best(
-            _mrcd_c_steps(Xw, start, h, rho, c0, cfg.max_csteps) for start in starts)
+        idx, mean_w, K, logdet_w, _ = _best(
+            _mrcd_c_steps(Xw, starts[lo:lo + size], h, rho, c0, cfg.max_csteps)
+            for lo in range(0, len(starts), size))
         cond = _condition_number(K)
         if cond <= _MAX_CONDITION:
             mean = C @ mean_w
             scatter = C @ K @ C.T
             scatter = 0.5 * (scatter + scatter.T)
-            logdet = logdet_w + 2.0 * float(np.sum(np.log(np.diag(C))))
+            logdet = float(logdet_w) + 2.0 * float(np.sum(np.log(np.diag(C))))
             return RobustClassSummary(
                 mean=mean, scatter=scatter, untrimmed=idx, method="MRCD",
                 determinant=float(np.exp(logdet)), log_determinant=logdet,

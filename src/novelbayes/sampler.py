@@ -19,13 +19,17 @@ as ``data`` (one row per unit) and provides
 - ``initial_known()`` and ``start_distances()``: the starting known atoms,
   and an (M, J) matrix of distances that are chi-square under the known
   classes with the returned degrees of freedom;
-- ``draw_known(j, members, prev, rng)`` and ``draw_novel(members, prev,
-  rng)``: one slot's atom from the row indices of its members and the
-  slot's previous atom (None for a novelty slot drawn for the first time);
-- ``loglik(known, novel, u, xi)``: the (M, L) log-likelihood of every unit
-  under every atom on the cells where u_m < xi_l, and -inf on the others.
-  xi does not increase, so sorted by u the eligible units of every column
-  are a prefix of the rows, which a family may use to compute only those;
+- ``draw_atoms(members, known, novel, rng)``: the scan's atoms as the
+  pair (known atoms, novelty atoms), from the increasing row indices of
+  each slot's members (the J known classes, then the novelty slots) and the
+  previous atoms (a novelty slot past the end of ``novel`` has none), so a
+  family may draw all slots at once;
+- ``loglik(known, novel, stair)``: the log-likelihood of the units under
+  the atoms on the eligible cells u_m < xi_l only, in the order of the
+  scan's :class:`Staircase`: column by column, the eligible units in
+  increasing order of u.  Sorted by u, the eligible units of every column
+  are a prefix of the rows (of n_l rows), and xi does not increase, so each
+  unit's cells are a prefix of the columns, which the allocation step uses;
 - ``snapshot(known, novel)``: the atoms as a JSON-ready dict.
 
 :class:`GaussianFamily` below serves the multivariate model; the curve
@@ -39,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -102,19 +106,31 @@ class ChainState:
     gamma: float
 
 
-def _zeta_from_labels(alpha: np.ndarray, beta: np.ndarray, n_known: int) -> np.ndarray:
+def _zeta_from_labels(alpha: np.ndarray, beta_rows, beta_shape, n_known: int) -> np.ndarray:
     """Check an (alpha, beta) trace pair and overwrite ``alpha`` with its
-    zeta trace; row blocks keep the temporaries small next to the traces."""
-    if alpha.shape != beta.shape:
+    zeta trace.  ``beta_rows(rows)`` returns a slice of rows of the beta
+    trace (of shape ``beta_shape``) as int32, so beta is read and converted
+    one row block at a time, which keeps it and the temporaries small next
+    to the traces.  A check fails with its message over the whole trace:
+    the alpha range, then the beta range, then exclusivity."""
+    if alpha.shape != tuple(beta_shape):
         raise DimensionMismatch("alpha and beta traces must align")
     if alpha.size and not 0 <= alpha.min() <= alpha.max() <= n_known:
         raise ValueError(f"alpha trace labels span [{alpha.min()}, {alpha.max()}], "
                          f"outside [0, {n_known}] (n_known)")
-    if beta.size and beta.min() < 0:
-        raise ValueError(f"beta trace labels reach {beta.min()}, below 0")
+    lowest, mixed = 0, None
     for lo in range(0, alpha.shape[0], _CHECK_ROWS):
         rows = slice(lo, lo + _CHECK_ROWS)
-        alpha[rows] = alpha_beta_to_zeta(alpha[rows], beta[rows], n_known)
+        beta = beta_rows(rows)
+        lowest = min(lowest, beta.min(initial=0))
+        try:
+            alpha[rows] = alpha_beta_to_zeta(alpha[rows], beta, n_known)
+        except ValueError as exc:
+            mixed = mixed or exc
+    if lowest < 0:
+        raise ValueError(f"beta trace labels reach {lowest}, below 0")
+    if mixed:
+        raise mixed
     return alpha
 
 
@@ -135,8 +151,9 @@ class ChainOutput:
             raise TypeError("pass either zeta_trace or alpha_trace and beta_trace")
         self.n_known, self.seed = int(n_known), seed
         if zeta_trace is None:
+            beta = np.asarray(beta_trace, dtype=np.int32)
             zeta_trace = _zeta_from_labels(np.array(alpha_trace, dtype=np.int32),
-                                           np.asarray(beta_trace, dtype=np.int32), self.n_known)
+                                           beta.__getitem__, beta.shape, self.n_known)
         self.zeta_trace = np.asarray(zeta_trace, dtype=np.int32)
         if self.zeta_trace.size and self.zeta_trace.min() < 1:
             raise ValueError("zeta trace labels are 1-based")
@@ -192,26 +209,37 @@ def _strict_lower(p: int):
     return np.tril_indices(p, -1)
 
 
-def sample_niw(params: NIWParams, rng: np.random.Generator) -> GaussianAtom:
-    """Draw (mean, cov) with cov ~ inverse-Wishart(nu, S), mean ~ N(m, cov/lambda).
-
-    Uses the Bartlett factorization of a Wishart(nu, I) draw, so the result
-    is SPD by construction and E[cov] = S / (nu - p - 1).
-    """
-    p = params.dim
+def sample_niw(law: NIWParams, rng: np.random.Generator):
+    """The random part of one draw from an NIW law: the lower Bartlett
+    factor A of a Wishart(nu, I) draw (one scalar chi-square draw per
+    diagonal entry, then normals below it) and the standard normal noise z
+    of the mean, in that order.  :func:`niw_atoms` makes the atoms."""
+    p = law.dim
     A = np.zeros((p, p))
-    # one scalar draw per degree of freedom: the calls and values of an
-    # array draw, without its per-call cost
-    for i in range(p):
-        A[i, i] = math.sqrt(rng.chisquare(params.dof - i))
-    if p > 1:
-        A[_strict_lower(p)] = rng.standard_normal(p * (p - 1) // 2)
-    # cov = C (A A^T)^{-1} C^T
-    M = _solve_triangular(A, params.scale_chol.T).T
-    cov = M @ M.T
-    cov = 0.5 * (cov + cov.T)
-    mean = params.mean + (M @ rng.standard_normal(p)) / math.sqrt(params.precision_scale)
-    return GaussianAtom(mean, cov)
+    for i in range(p):  # scalar draws: the calls and values of an array draw
+        A[i, i] = math.sqrt(rng.chisquare(law.dof - i))
+    normals = rng.standard_normal(p * (p - 1) // 2 + p)
+    A[_strict_lower(p)] = normals[:-p]
+    return A, normals[-p:]
+
+
+def niw_atoms(laws: list, draws: list) -> list:
+    """The atoms (mean, cov) of NIW laws from their :func:`sample_niw`
+    draws (A, z): cov = C (A A^T)^{-1} C^T ~ inverse-Wishart(nu, S) and
+    mean = m + C A^{-T} z / sqrt(lambda) ~ N(m, cov / lambda), with C the
+    Cholesky factor of S.  Every covariance is SPD by construction and
+    E[cov] = S / (nu - p - 1).  The factors of the scale matrices and the
+    products are one stacked call each, with the bits of one-law calls;
+    only the triangular solves go law by law.
+    """
+    C = _chol(np.array([law.scale_matrix for law in laws]))
+    M = np.array([_solve_triangular(A, c.T).T for (A, _), c in zip(draws, C)])  # C A^{-T}
+    cov = M @ M.transpose(0, 2, 1)
+    cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+    z = np.array([noise for _, noise in draws])
+    scale = np.sqrt([law.precision_scale for law in laws])[:, None]
+    means = np.array([law.mean for law in laws]) + (M @ z[:, :, None])[:, :, 0] / scale
+    return [GaussianAtom(mean, c) for mean, c in zip(means, cov)]
 
 
 def update_gamma(current: float, n_novel: int, k_novel: int,
@@ -284,6 +312,30 @@ def _label_swap_sweep(zeta: np.ndarray, atoms: list, v: np.ndarray, n_known: int
             break
 
 
+class Staircase(NamedTuple):
+    """The eligible cells (u_m < xi_l) of one scan, column by column with
+    each column's units in increasing order of u: ``order`` is the units by
+    u, column l's eligible units are the first ``n_rows[l]`` of it, and
+    ``unit``/``col`` give the unit and column of every cell."""
+
+    order: np.ndarray
+    n_rows: np.ndarray
+    unit: np.ndarray
+    col: np.ndarray
+
+
+def _staircase(u: np.ndarray, xi: np.ndarray) -> Staircase:
+    order = np.argsort(u)
+    n_rows = np.searchsorted(u[order], xi)
+    return Staircase(order, n_rows, order[_runs(n_rows)], np.repeat(np.arange(xi.size), n_rows))
+
+
+def _runs(sizes: np.ndarray) -> np.ndarray:
+    """0, 1, ..., n - 1 for every n in ``sizes``, concatenated."""
+    sizes = np.asarray(sizes)
+    return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+
 # The screen's tolerance, relative to 1 + |best score|.  numpy's gumbel is
 # -log(-log(1 - d)) of one double d per cell, with libm's log; the screen
 # uses numpy's log.  If both logs are within k units in the last place, a
@@ -299,44 +351,55 @@ def _label_swap_sweep(zeta: np.ndarray, atoms: list, v: np.ndarray, n_known: int
 _SCREEN_TOL = 1e-9
 
 
-def _sample_allocations(rng, log_lik, weights, u, xi) -> np.ndarray:
+def _sample_allocations(rng, log_lik, weights, u, xi, stair: Staircase) -> np.ndarray:
     """Draw zeta_m from P(zeta_m = l) ∝ (w_l / xi_l) 1{u_m < xi_l} lik(m, l).
 
-    ``log_lik`` is (M, L) and -inf on the cells where u_m >= xi_l (``u`` and
-    ``xi`` only document that).  Sampling is the Gumbel argmax in log space,
-    which sidesteps underflow, with the draws of ``rng.gumbel(size=(M, L))``:
-    its uniforms are drawn at once, the scores are screened with numpy's
-    log, and a unit whose best cell is within the screen's error of another
-    cell is re-scored with ``math.log`` (libm, as in numpy's gumbel) and
-    takes the first exact maximum.  gumbel redraws a uniform of exactly 0,
-    so then the generator is rewound and gumbel itself is called.
+    ``log_lik`` holds the eligible cells (u_m < xi_l) only, in the order of
+    ``stair``, the :class:`Staircase` of (u, xi).  Sampling is the Gumbel
+    argmax in log space, which sidesteps underflow, with the draws of
+    ``rng.gumbel(size=(M, L))``: its uniforms are drawn at once and the
+    eligible cells' scores are screened with numpy's log; a unit whose best
+    cell is within the screen's error of another cell is re-scored with
+    ``math.log`` (libm, as in numpy's gumbel) and takes the first exact
+    maximum.  gumbel redraws a uniform of exactly 0, so then the generator
+    is rewound and gumbel itself is called.
     """
+    M, L = u.size, xi.size
+    unit, col = stair.unit, stair.col
     with np.errstate(divide="ignore"):
-        log_w = np.log(weights) - np.log(xi)
-    logits = log_lik + log_w
+        logits = log_lik + (np.log(weights) - np.log(xi))[col]
+    cell = unit * L + col  # the cell's index in a unit-order (M, L) draw
     state = rng.bit_generator.state
-    U = rng.random(logits.shape)
+    U = rng.random((M, L))
     screened = bool(U.all())
     if screened:  # in place: logits - log(-log(1 - U))
+        U = U.ravel()[cell]
         scores = np.subtract(1.0, U)
         np.log(scores, out=scores)
         np.log(np.negative(scores, out=scores), out=scores)
         np.subtract(logits, scores, out=scores)
     else:
         rng.bit_generator.state = state
-        scores = logits + rng.gumbel(size=logits.shape)
-    best = scores.argmax(axis=1)
-    top = scores[np.arange(best.size), best]
+        scores = logits + rng.gumbel(size=(M, L)).ravel()[cell]
+    top = np.full(M, -np.inf)
+    np.maximum.at(top, unit, scores)
     if not np.all(top > -np.inf):
         raise AllSlicesEmpty("a unit has no eligible component; sampler invariant broken")
-    if screened:
-        near = scores >= (top - _SCREEN_TOL * (1.0 + np.abs(top)))[:, None]
-        if np.count_nonzero(near) > best.size:  # some unit has a second cell near its best
-            for m in np.flatnonzero(np.count_nonzero(near, axis=1) > 1).tolist():
-                cells = np.flatnonzero(near[m]).tolist()
-                exact = [logits[m, l] - math.log(-math.log(1.0 - U[m, l])) for l in cells]
+    # the cells at or near each unit's best: mostly the best one alone
+    near = np.flatnonzero(scores >= (top - _SCREEN_TOL * (1.0 + np.abs(top)) if screened
+                                     else top)[unit])
+    best = np.empty(M, dtype=np.intp)
+    best[unit[near]] = near
+    if near.size > M:  # a unit with a second cell: the first exact maximum wins
+        near = near[np.argsort(unit[near], kind="stable")]  # by unit, columns ascending
+        counts = np.bincount(unit[near], minlength=M)
+        for m, cells in enumerate(np.split(near, np.cumsum(counts)[:-1])):
+            if counts[m] > 1:
+                cells = cells.tolist()
+                exact = [logits[c] - math.log(-math.log(1.0 - U[c])) if screened else scores[c]
+                         for c in cells]
                 best[m] = cells[exact.index(max(exact))]
-    return best + 1
+    return col[best] + 1
 
 
 def _members(labels: np.ndarray, counts: np.ndarray) -> list:
@@ -385,40 +448,40 @@ class GaussianFamily:
                               for s in self.priors])
         return d2, self.data.shape[1]
 
-    def draw_known(self, j: int, members: np.ndarray, prev, rng) -> GaussianAtom:
-        if self.known_niw is None:
-            return prev
-        return sample_niw(niw_posterior(self.known_niw[j], self.data[members]), rng)
+    def draw_atoms(self, members: list, known: list, novel: list, rng) -> tuple:
+        """Every slot's atom from its members' rows, the random draws slot
+        by slot and the atoms from them in one stack: known atoms from their
+        training NIW posteriors (kept as they are when frozen), novelty atoms
+        from the base-measure posterior (an unoccupied slot from the base
+        measure itself)."""
+        J = len(known)
+        laws = [] if self.known_niw is None else \
+            [niw_posterior(law, self.data[rows]) for law, rows in zip(self.known_niw, members[:J])]
+        laws += [niw_posterior(self.base_measure, self.data[rows]) if rows.size
+                 else self.base_measure for rows in members[J:]]
+        atoms = niw_atoms(laws, [sample_niw(law, rng) for law in laws])
+        return (known, atoms) if self.known_niw is None else (atoms[:J], atoms[J:])
 
-    def draw_novel(self, members: np.ndarray, prev, rng) -> GaussianAtom:
-        if members.size == 0:  # an unoccupied slot is a fresh base-measure draw
-            return sample_niw(self.base_measure, rng)
-        return sample_niw(niw_posterior(self.base_measure, self.data[members]), rng)
+    def loglik(self, known: list, novel: list, stair: Staircase) -> np.ndarray:
+        """Densities on the eligible cells of ``stair``.
 
-    def loglik(self, known: list, novel: list, u: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """Densities on the eligible cells, -inf elsewhere.
-
-        Sorted by u, the units eligible for column l are the first n_l rows,
-        so each density is computed on a contiguous prefix, from one stacked
-        factorisation of all covariances.  A one-row column is computed on
-        two rows: a one-row solve can differ in the last bits from that row
-        of a many-row solve, while any block of two or more rows reproduces
-        it exactly (a chain of one unit has only the one row)."""
+        Every column's rows are gathered into one block and its densities
+        computed by one :func:`log_gaussian_density_many` call, from one
+        stacked factorisation of all covariances.  A one-row column is
+        computed on two rows: a one-row solve can differ in the last bits
+        from that row of a many-row solve, while any block of two or more
+        rows reproduces it exactly (a chain of one unit has only the one
+        row); the padding row is dropped from the result."""
         atoms = known + novel
-        order = np.argsort(u)
-        n_rows = np.searchsorted(u[order], xi).tolist()
-        X = self.data[order]
+        order, n_rows = stair.order, stair.n_rows
         means = np.asarray_chkfinite([a.mean for a in atoms])
         factors = _chol(np.array([a.cov for a in atoms]))
-        block = min(2, u.size)
-        out = np.full((u.size, len(atoms)), -np.inf)
-        for l, n in enumerate(n_rows):
-            if n:
-                out[:n, l] = log_gaussian_density_many(X[:max(n, block)], means[l],
-                                                       factors[l])[:n]
-        unsorted = np.empty_like(out)
-        unsorted[order] = out
-        return unsorted
+        cols = np.flatnonzero(n_rows)
+        sizes = np.maximum(n_rows[cols], min(2, order.size))
+        rows = _runs(sizes)
+        dens = log_gaussian_density_many(self.data[order[rows]], means[cols], factors[cols],
+                                         sizes)
+        return dens[rows < np.repeat(n_rows[cols], sizes)]
 
     def snapshot(self, known: list, novel: list) -> dict:
         return {"known": [a.to_dict() for a in known],
@@ -466,16 +529,14 @@ def gibbs_step(state: ChainState, family, hp: ChainSettings,
     pitilde = np.concatenate([pi[1:], pi[0] * stick_breaking(v)])
 
     # 7-8. known-class atoms, then novelty atoms, each from its members
-    members = _members(zeta, counts)
-    known = [family.draw_known(j, rows, atom, rng)
-             for j, (rows, atom) in enumerate(zip(members[:J], state.known_atoms))]
-    novel = [family.draw_novel(rows, prev[h] if h < len(prev) else None, rng)
-             for h, rows in enumerate(members[J:])]
+    known, novel = family.draw_atoms(_members(zeta, counts), state.known_atoms, prev, rng)
 
     # 9. allocation over eligible components
     if M:
         xi = xi_values(kappa, J, L)
-        zeta = _sample_allocations(rng, family.loglik(known, novel, u, xi), pitilde, u, xi)
+        stair = _staircase(u, xi)  # one cell layout for the densities and the draw
+        zeta = _sample_allocations(rng, family.loglik(known, novel, stair), pitilde, u, xi,
+                                   stair)
 
     # 10. concentration parameter, from the new novelty partition
     gamma = state.gamma

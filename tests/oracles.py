@@ -3,13 +3,18 @@
 Everything here deliberately avoids the code paths under test: subset
 searches are exhaustive, integrals are quadrature on grids, moments come
 from brute-force simulation, and partition scores enumerate candidates.
+The sequential references at the end are the one-at-a-time forms of the
+stacked computations (atom draws, densities, C-steps), written with scipy's
+checked wrappers, so the stacks can be held to their bits.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
+from novelbayes.errors import NumericalError, SingularSubset
 from novelbayes.postprocess import vi_score
 
 
@@ -234,3 +239,120 @@ def grid_posterior_1d(grid, log_prior, log_lik):
 def niw_joint_logpdf(mu, s2, m, lam, nu, S):
     """p=1 normal-inverse-Wishart density: IG(nu/2, S/2) x N(m, s2/lam)."""
     return invgamma_logpdf(s2, nu / 2.0, S / 2.0) + norm_logpdf(mu, m, s2 / lam)
+
+
+# ---------------------------------------------------------------------------
+# sequential references of the stacked computations
+# ---------------------------------------------------------------------------
+
+def sample_niw_one(law, rng):
+    """One NIW draw as (mean, cov), the Bartlett way, one law at a time:
+    p scalar chi-square draws, the strict lower triangle, then the mean's
+    noise."""
+    p = law.dim
+    A = np.zeros((p, p))
+    for i in range(p):
+        A[i, i] = math.sqrt(rng.chisquare(law.dof - i))
+    if p > 1:
+        A[np.tril_indices(p, -1)] = rng.standard_normal(p * (p - 1) // 2)
+    C = np.linalg.cholesky(law.scale_matrix)
+    M = solve_triangular(A, C.T, lower=True).T
+    cov = M @ M.T
+    cov = 0.5 * (cov + cov.T)
+    mean = law.mean + (M @ rng.standard_normal(p)) / math.sqrt(law.precision_scale)
+    return mean, cov
+
+
+def gaussian_column(X, mean, cov):
+    """log N(x; mean, cov) of every row of X, one column of densities."""
+    L = np.linalg.cholesky(cov)
+    Z = solve_triangular(L, (X - mean).T, lower=True)
+    logdet = 2.0 * np.log(L.diagonal()).sum()
+    return -0.5 * (X.shape[1] * math.log(2.0 * math.pi) + logdet + np.sum(Z * Z, axis=0))
+
+
+def staircase_to_dense(cells, u, xi):
+    """The (M, L) matrix of a staircase of eligible cells, -inf elsewhere;
+    column l's cells belong to its n_l units of smallest u, in u order."""
+    order = np.argsort(u)
+    n_rows = np.searchsorted(u[order], xi)
+    dense = np.full((u.size, xi.size), -np.inf)
+    pos = 0
+    for l, n in enumerate(n_rows.tolist()):
+        dense[order[:n], l] = cells[pos:pos + n]
+        pos += n
+    assert pos == len(cells)
+    return dense
+
+
+def dense_to_staircase(dense, u, xi):
+    """The eligible cells of an (M, L) matrix as a staircase: column by
+    column, the units with u_m < xi_l in increasing order of u."""
+    order = np.argsort(u)
+    return np.concatenate([dense[order[:n], l] for l, n in
+                           enumerate(np.searchsorted(u[order], xi).tolist())])
+
+
+def subset_moments_one(X, idx):
+    sub = X[idx]
+    mean = sub.mean(axis=0)
+    dev = sub - mean
+    return mean, dev.T @ dev / (len(idx) - 1)
+
+
+def sq_mahalanobis_one(X, mean, cov):
+    try:
+        L = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSubset("subset covariance is singular") from exc
+    Z = solve_triangular(L, (X - mean).T, lower=True)
+    return np.sum(Z * Z, axis=0)
+
+
+def slogdet_one(cov):
+    sign, logdet = np.linalg.slogdet(cov)
+    if sign <= 0 or not np.isfinite(logdet):
+        raise SingularSubset("subset covariance determinant is not positive")
+    return float(logdet)
+
+
+def elemental_start_one(X, h, perm):
+    """The permutation's first p + 1 rows, grown while singular, expanded
+    to the h rows nearest their moments."""
+    n, p = X.shape
+    size = p + 1
+    while True:
+        idx = np.sort(perm[:size])
+        mean, cov = subset_moments_one(X, idx)
+        try:
+            dist = sq_mahalanobis_one(X, mean, cov)
+            return np.sort(np.argsort(dist, kind="stable")[:h])
+        except SingularSubset:
+            size += 1
+            if size > n:
+                raise
+
+
+def c_steps_one(X, idx, h, max_csteps, scatter, tol=1e-9):
+    """Concentration steps from one start: (subset, mean, S, log det S,
+    steps run), S = scatter(subset covariance)."""
+    mean, cov = subset_moments_one(X, idx)
+    S = scatter(cov)
+    logdet = slogdet_one(S)
+    steps = 0
+    for _ in range(max_csteps):
+        steps += 1
+        dist = sq_mahalanobis_one(X, mean, S)
+        new_idx = np.sort(np.argsort(dist, kind="stable")[:h])
+        if np.array_equal(new_idx, idx):
+            break
+        new_mean, new_cov = subset_moments_one(X, new_idx)
+        new_S = scatter(new_cov)
+        new_logdet = slogdet_one(new_S)
+        if new_logdet > logdet + tol * max(1.0, abs(logdet)):
+            raise NumericalError("C-step determinant increased")
+        converged = new_logdet >= logdet - tol * max(1.0, abs(logdet))
+        idx, mean, S, logdet = new_idx, new_mean, new_S, new_logdet
+        if converged:
+            break
+    return idx, mean, S, logdet, steps

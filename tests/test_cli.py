@@ -343,6 +343,55 @@ class TestErrorPaths:
         assert code == 2
 
 
+def _adversarial_inputs(case, directory):
+    """Train and test files of one degenerate input, and the fit command."""
+    rng = np.random.default_rng(7)
+    p, scale, sizes = 2, 1.0, (30, 30)
+    test = rng.normal(size=(20, 2))
+    if case == "constant curves":
+        grid = np.linspace(0, 1, 20)
+        nio.write_curves(directory / "train.csv",
+                         CurveSet(grid, np.ones((12, 20)), np.repeat([1, 2], 6)))
+        nio.write_curves(directory / "test.csv", CurveSet(grid, np.ones((5, 20))))
+        return ["fit-functional", "--n-basis", "8", "--order", "3"]
+    if case == "one test row":
+        test = test[:1]
+    elif case == "one feature":
+        p, test = 1, test[:, :1]
+    elif case == "duplicated test rows":
+        test = np.repeat(test[:1], 15, axis=0)
+    elif case == "a class of two rows":
+        sizes = (30, 2)
+    elif case.startswith("values near"):  # 1e160 squared overflows
+        scale = float(case.split()[-1])
+        test = test * scale
+    train = np.vstack([rng.normal(3 * k, 1, (n, p)) for k, n in enumerate(sizes)]) * scale
+    labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    nio.write_multivariate(directory / "train.csv", train, labels)
+    nio.write_multivariate(directory / "test.csv", test)
+    return ["fit"]
+
+
+@pytest.mark.parametrize("case, code", [
+    ("one test row", 0), ("one feature", 0), ("duplicated test rows", 0),
+    ("a class of two rows", 0), ("values near 1e150", 0), ("values near 1e160", 2),
+    ("constant curves", 2)])
+def test_adversarial_inputs_end_in_their_exit_code(case, code, tmp_path, capsys):
+    """Degenerate inputs run through Stage I and the chain and end in the
+    documented exit code (0 success, 2 data error, 3 numerical failure);
+    at 1e160 the squared deviations overflow, a ValueError (exit 2)."""
+    argv = _adversarial_inputs(case, tmp_path)
+    out = tmp_path / "run"
+    assert run_cli(*argv, "--train", str(tmp_path / "train.csv"),
+                   "--test", str(tmp_path / "test.csv"), "--outdir", str(out),
+                   "--n-starts", "20", "--n-iter", "30", "--n-burnin", "10") == code
+    err = capsys.readouterr().err
+    if code:  # one line naming the failure, no traceback
+        assert err.count("\n") == 1 and "Traceback" not in err
+    else:
+        assert (out / "summary" / "labels.csv").exists()
+
+
 class TestManifestDeterminism:
     def test_identical_runs_identical_outputs(self, tmp_path):
         d = tmp_path

@@ -1,13 +1,15 @@
 """Every module of the package and of its tests uses each name it imports,
 and every private module-level name of the package is read somewhere in it.
 Only ``model.py`` imports scipy, no package module imports inside a
-function, and importing the CLI does not load ``scipy.stats``.
+function, and importing the CLI does not load ``scipy.stats``.  Every
+function the benchmark's layer probes wrap exists in the package.
 
 The package's ``__init__`` is the exception to the first rule: its imports
 are the public API.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -150,3 +152,26 @@ def test_importing_the_cli_leaves_scipy_stats_out():
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout == "[]\n"
+
+
+def _probed_names(source: str) -> list:
+    """(module, attribute) of every ``_p(module, attr, ...)`` entry of the
+    ``PROBES`` list in a layers module's source."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["PROBES"]:
+            return [(call.args[0].value, call.args[1].value) for call in node.value.elts]
+    return []
+
+
+def test_the_scan_finds_the_probed_names():
+    source = 'X = 1\nPROBES = [\n    _p("robust", "mrcd"),\n    _p("io", "f", _hook),\n]\n'
+    assert _probed_names(source) == [("robust", "mrcd"), ("io", "f")]
+
+
+def test_every_probed_function_exists():
+    """A renamed probed function would silently zero a layer metric."""
+    probes = _probed_names((ROOT / "perfbench" / "layers.py").read_text())
+    assert len(probes) >= 20
+    missing = [f"{module}.{attr}" for module, attr in probes
+               if not hasattr(importlib.import_module(f"novelbayes.{module}"), attr)]
+    assert missing == []

@@ -186,9 +186,44 @@ class TestLogGaussian:
         cov = np.array([[2.0, 0.3], [0.3, 1.0]])
         mean = np.array([1.0, -1.0])
         X = rng.normal(size=(20, 2))
-        batch = log_gaussian_density_many(X, mean, np.linalg.cholesky(cov))
+        batch = log_gaussian_density_many(X, mean[None], np.linalg.cholesky(cov)[None], [20])
         single = [log_gaussian_density(x, GaussianAtom(mean, cov)) for x in X]
         assert batch == pytest.approx(single, rel=1e-13)
+
+    @pytest.mark.parametrize("p", [1, 2, 8, 9, 12])
+    def test_row_blocks_equal_one_block_calls_bit_for_bit(self, p):
+        """Runs of rows under their own atoms in one call give the bits of
+        one call per run, for runs of 1 to 40 rows."""
+        rng = np.random.default_rng(p)
+        sizes = [2, 1, 40, 3, 1, 17]
+        means = rng.normal(size=(len(sizes), p))
+        A = rng.normal(size=(len(sizes), p, p))
+        chols = np.linalg.cholesky(A @ A.transpose(0, 2, 1) + p * np.eye(p))
+        X = rng.normal(size=(sum(sizes), p)) * 4.0
+        got = log_gaussian_density_many(X, means, chols, sizes)
+        lo = 0
+        for mean, L, n in zip(means, chols, sizes):
+            want = log_gaussian_density_many(X[lo:lo + n], mean[None], L[None], [n])
+            assert np.array_equal(got[lo:lo + n], want)
+            lo += n
+
+    @pytest.mark.parametrize("p", [1, 3, 9])
+    def test_fortran_ordered_rows_give_the_c_ordered_bits(self, p):
+        """Rows held column-major (say, a pandas block) give the distances
+        and densities of the same rows held row-major: the solve is not
+        skipped when the deviations are not row-major."""
+        rng = np.random.default_rng(20 + p)
+        A = rng.normal(size=(p, p))
+        cov = A @ A.T + p * np.eye(p)
+        mean, X = rng.normal(size=p), rng.normal(size=(30, p)) * 4.0
+        L = np.linalg.cholesky(cov)
+        d2 = _mahalanobis_chol(X, mean, cov)[0]
+        Z = solve_triangular(L, (X - mean).T, lower=True)
+        assert d2 == pytest.approx(np.sum(Z * Z, axis=0), rel=1e-12)
+        F = np.asfortranarray(X)
+        assert np.array_equal(_mahalanobis_chol(F, mean, cov)[0], d2)
+        want = log_gaussian_density_many(X, mean[None], L[None], [30])
+        assert np.array_equal(log_gaussian_density_many(F, mean[None], L[None], [30]), want)
 
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefinite):

@@ -137,6 +137,153 @@ class TestMrcd:
             mrcd(np.ones((8, 3)), McdConfig(eta=0.8))
 
 
+def _outcome(fn):
+    """The value of fn(), or the type and message of what it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # the exception itself is what is compared
+        return type(exc), str(exc)
+
+
+def _assert_fits_equal(fits, errors, want):
+    """Stacked fits and errors against one sequential outcome per start."""
+    for k, expected in enumerate(want):
+        if isinstance(expected[0], type):
+            assert (type(errors[k]), str(errors[k])) == expected
+            continue
+        assert k not in errors
+        for got, ref in zip((f[k] for f in fits), expected, strict=True):
+            assert np.array_equal(got, ref)
+
+
+def _regularized(rho, c0, p):
+    return lambda cov: rho * np.eye(p) + (1.0 - rho) * c0 * cov
+
+
+class TestStackedCSteps:
+    """A stack of starts gives each start the subset, mean, scatter,
+    log-determinant and C-step count of its own sequential run, and each
+    failing start the error its run raises."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 7, 9])
+    @pytest.mark.parametrize("max_csteps", [1, 2, 100])
+    def test_mcd_stack_equals_the_sequential_starts(self, p, max_csteps):
+        rng = np.random.default_rng(10 * p + max_csteps)
+        n = 30 + 3 * p
+        X = rng.normal(size=(n, p)) * rng.uniform(0.5, 3.0, size=p)
+        X[:3] += 8.0
+        h = int(0.75 * n)
+        perms = np.array([rng.permutation(n) for _ in range(40)])
+        starts, errors = robust._elemental_starts(X, h, perms)
+        assert errors == {}
+        for start, perm in zip(starts, perms, strict=True):
+            assert np.array_equal(start, oracles.elemental_start_one(X, h, perm))
+        fits, errors = robust._c_steps(X, starts, h, max_csteps)
+        _assert_fits_equal(fits, errors, [oracles.c_steps_one(X, start, h, max_csteps,
+                                                              lambda cov: cov)
+                                          for start in starts])
+        assert fits[4].max() <= max_csteps
+
+    @pytest.mark.parametrize("p, n", [(2, 12), (5, 8), (40, 20)])
+    def test_mrcd_stack_equals_the_sequential_starts(self, p, n):
+        rng = np.random.default_rng(p + n)
+        X = rng.normal(size=(n, p))
+        h, rho, c0 = int(0.75 * n), 0.3, consistency_factor(0.75, p)
+        starts = np.array([np.sort(rng.choice(n, size=h, replace=False)) for _ in range(30)])
+        fits, errors = robust._mrcd_c_steps(X, starts, h, rho, c0, 100)
+        _assert_fits_equal(fits, errors, [oracles.c_steps_one(X, start, h, 100,
+                                                              _regularized(rho, c0, p))
+                                          for start in starts])
+
+    def test_singular_elemental_sets_grow_as_in_the_sequential_search(self):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(24, 2))
+        X[:12] = X[0]  # half the rows coincide
+        perms = np.array([rng.permutation(24) for _ in range(60)])
+        grown = sum(len(set(perm[:3].tolist()) & set(range(12))) >= 2 for perm in perms)
+        assert grown >= 10  # many elemental sets hold a repeated row
+        starts, errors = robust._elemental_starts(X, 18, perms)
+        assert errors == {}
+        for start, perm in zip(starts, perms, strict=True):
+            assert np.array_equal(start, oracles.elemental_start_one(X, 18, perm))
+
+    def test_failing_starts_keep_their_own_errors(self):
+        """Two starts on collinear rows fail (one at once, one after a
+        C-step); the others run on, and the search raises the first one's
+        error."""
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(20, 2)) * 3.0
+        X[:10, 1] = 2.0 * X[:10, 0]
+        X[:10] *= 0.05  # rows 0-9: a tight cluster on a line
+        h = 10
+        starts = np.array([np.sort(rng.choice(20, size=h, replace=False)) for _ in range(8)])
+        starts[2] = np.arange(10)
+        want = [_outcome(lambda: oracles.c_steps_one(X, start, h, 100, lambda cov: cov))
+                for start in starts]
+        failing = [k for k, w in enumerate(want) if isinstance(w[0], type)]
+        assert failing == [2, 4]
+        fits, errors = robust._c_steps(X, starts, h, 100)
+        assert sorted(errors) == failing
+        _assert_fits_equal(fits, errors, want)
+        assert fits[4][4] > 0  # start 4 failed after C-steps
+        with pytest.raises(SingularSubset) as raised:
+            robust._best([(fits, errors)])
+        assert raised.value is errors[failing[0]]
+
+    def test_a_failing_elemental_start_stops_the_search(self):
+        X = np.zeros((6, 2))
+        X[:, 0] = np.arange(6)  # every subset is collinear
+        perms = np.array([np.random.default_rng(k).permutation(6) for k in range(3)])
+        starts, errors = robust._elemental_starts(X, 4, perms)
+        assert sorted(errors) == [0, 1, 2]
+        want = _outcome(lambda: oracles.elemental_start_one(X, 4, perms[0]))
+        assert (type(errors[0]), str(errors[0])) == want
+
+    @pytest.mark.parametrize("floats", [1, 200, 1 << 16])
+    def test_searches_equal_the_sequential_search_in_any_stack_size(self, floats,
+                                                                    monkeypatch):
+        """fast_mcd and mrcd keep the first best fit of the one-start-at-a-
+        time search, whether the starts run one by one or in stacks."""
+        monkeypatch.setattr(robust, "_STACK_FLOATS", floats)
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(40, 3))
+        X[:5] += 6.0
+        cfg = McdConfig(eta=0.75, n_starts=30, max_csteps=5, seed=3)
+        perm_rng = np.random.default_rng(3)
+        starts = [oracles.elemental_start_one(X, 30, perm_rng.permutation(40)) for _ in range(30)]
+        fits = [oracles.c_steps_one(X, start, 30, 5, lambda cov: cov) for start in starts]
+        best = min(fits, key=lambda fit: fit[3])
+        got = fast_mcd(X, cfg, rng=np.random.default_rng(3))
+        assert np.array_equal(got.untrimmed, best[0])
+        assert np.array_equal(got.mean, best[1])
+        assert got.log_determinant == best[3]
+        ref = mrcd(X, cfg, rng=np.random.default_rng(3))
+        monkeypatch.setattr(robust, "_STACK_FLOATS", 1)
+        one_by_one = mrcd(X, cfg, rng=np.random.default_rng(3))
+        assert ref.to_dict() == one_by_one.to_dict()
+
+
+    @pytest.mark.parametrize("failing", [False, True])
+    def test_column_major_data_give_the_row_major_distances(self, failing):
+        """The stacked distances, and the per-start ones a stack with a
+        singular start falls back to, solve column-major data too."""
+        rng = np.random.default_rng(14)
+        X = rng.normal(size=(40, 3)) * [1.0, 3.0, 0.5]
+        X[:5] += 6.0
+        F = np.asfortranarray(X)
+        means = X[:3]
+        covs = np.array([np.eye(3), np.diag([1.0, 9.0, 0.25]),
+                         np.zeros((3, 3)) if failing else 2.0 * np.eye(3)])
+        dist, errors = robust._stacked_sq_mahalanobis(X, means, covs)
+        assert sorted(errors) == ([2] if failing else [])
+        got, _ = robust._stacked_sq_mahalanobis(F, means, covs)
+        assert np.array_equal(got[:2], dist[:2])
+        assert dist[1] == pytest.approx((((X - X[1]) / [1.0, 3.0, 0.5]) ** 2).sum(axis=1),
+                                        rel=1e-12)
+        cfg = McdConfig(eta=0.75, n_starts=30, max_csteps=5, seed=3)
+        assert fast_mcd(F, cfg).to_dict() == fast_mcd(X, cfg).to_dict()
+
+
 class TestExtractClassPriors:
     def test_single_class_no_trimming(self):
         rng = np.random.default_rng(7)

@@ -14,7 +14,6 @@ from novelbayes.model import (
     GaussianAtom,
     Hyperparameters,
     NIWParams,
-    log_gaussian_density_many,
     xi_values,
     zeta_to_alpha_beta,
 )
@@ -27,7 +26,9 @@ from novelbayes.sampler import (
     _initial_state,
     _label_swap_sweep,
     _sample_allocations,
+    _staircase,
     gibbs_step,
+    niw_atoms,
     niw_posterior,
     run_chain,
     sample_niw,
@@ -44,6 +45,11 @@ def _summary(mean, scatter):
         mean=mean, scatter=scatter, untrimmed=np.arange(2), method="MCD",
         determinant=float(np.linalg.det(scatter)),
         log_determinant=float(np.linalg.slogdet(scatter)[1]))
+
+
+def _atoms(laws, rng):
+    """One atom per NIW law: the draws law by law, then the stacked atoms."""
+    return niw_atoms(laws, [sample_niw(law, rng) for law in laws])
 
 
 def _hyper(class_sizes, p, **kw):
@@ -123,7 +129,7 @@ class TestNiwPosterior:
 class TestSampleNiw:
     def test_inverse_wishart_mean(self):
         rng = np.random.default_rng(1)
-        draws = np.array([sample_niw(NIWParams([0.0], 1.0, 5.0, [[3.0]]), rng).cov[0, 0]
+        draws = np.array([_atoms([NIWParams([0.0], 1.0, 5.0, [[3.0]])], rng)[0].cov[0, 0]
                           for _ in range(100000)])
         se = draws.std() / math.sqrt(draws.size)
         assert draws.mean() == pytest.approx(3.0 / (5.0 - 2.0), abs=3 * se)
@@ -132,7 +138,7 @@ class TestSampleNiw:
         rng = np.random.default_rng(2)
         params = NIWParams(np.zeros(3), 0.5, 6.0, np.eye(3))
         for _ in range(200):
-            atom = sample_niw(params, rng)
+            atom, = _atoms([params], rng)
             assert np.linalg.eigvalsh(atom.cov)[0] > 0
 
     def test_degenerate_dof_limit(self):
@@ -141,7 +147,7 @@ class TestSampleNiw:
         Sigma0 = np.array([[2.0, 0.5], [0.5, 1.0]])
         dists = []
         for nu in (50.0, 5000.0):
-            draws = [sample_niw(NIWParams(np.zeros(2), 1.0, nu, nu * Sigma0), rng).cov
+            draws = [_atoms([NIWParams(np.zeros(2), 1.0, nu, nu * Sigma0)], rng)[0].cov
                      for _ in range(200)]
             dists.append(np.mean([np.linalg.norm(d - Sigma0, 2) for d in draws]))
         assert dists[1] < dists[0] / 5
@@ -149,23 +155,25 @@ class TestSampleNiw:
     def test_high_precision_pins_mean(self):
         rng = np.random.default_rng(4)
         m = np.array([3.0, -2.0])
-        draws = np.array([sample_niw(NIWParams(m, 1e8, 10.0, np.eye(2)), rng).mean
+        draws = np.array([_atoms([NIWParams(m, 1e8, 10.0, np.eye(2))], rng)[0].mean
                           for _ in range(100)])
         assert np.abs(draws - m).max() < 1e-3
 
     def test_non_spd_scale_is_a_numerical_error(self):
         params = NIWParams(np.zeros(2), 1.0, 5.0, -np.eye(2))
         with pytest.raises(NotPositiveDefinite):
-            sample_niw(params, np.random.default_rng(0))
+            _atoms([NIWParams(np.zeros(2), 1.0, 5.0, np.eye(2)), params],
+                   np.random.default_rng(0))
 
     def test_non_finite_scale_raises_what_the_wrapper_raised(self):
         params = NIWParams(np.zeros(2), 1.0, 5.0, np.array([[np.nan, 0.0], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-            sample_niw(params, np.random.default_rng(0))
+            _atoms([params, NIWParams(np.zeros(2), 1.0, 5.0, np.eye(2))],
+                   np.random.default_rng(0))
 
     @pytest.mark.parametrize("p", [1, 2, 5])
     def test_draws_match_the_wrapper_formula(self, p):
-        """The cached factor and the direct solve reproduce the draw made
+        """The stacked factor and the direct solve reproduce the draw made
         with a fresh Cholesky factor and scipy's solve_triangular."""
         def reference(params, rng):
             C = np.linalg.cholesky(params.scale_matrix)
@@ -183,15 +191,67 @@ class TestSampleNiw:
         params = NIWParams(np.arange(p, dtype=float), 0.5, p + 3.0, S)
         got_rng, want_rng = np.random.default_rng(p), np.random.default_rng(p)
         for _ in range(20):
-            atom = sample_niw(params, got_rng)
+            atom, = _atoms([params], got_rng)
             mean, cov = reference(params, want_rng)
             assert np.array_equal(atom.mean, mean) and np.array_equal(atom.cov, cov)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 7, 9])
+    def test_stack_equals_the_per_law_loop_bit_for_bit(self, p):
+        """A stack of laws with their own means, precisions, degrees of
+        freedom and scales draws the per-law reference's means and
+        covariances bit for bit, and leaves the generator where it does."""
+        rng = np.random.default_rng(50 + p)
+        for _ in range(30):
+            laws = []
+            for _ in range(int(rng.integers(1, 12))):
+                A = rng.normal(size=(p, p))
+                laws.append(NIWParams(rng.normal(size=p) * 5.0, rng.uniform(0.01, 50.0),
+                                      p - 1 + rng.uniform(0.5, 40.0),
+                                      A @ A.T + rng.uniform(0.01, 3.0) * np.eye(p)))
+            seed = int(rng.integers(2**32))
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            atoms = _atoms(laws, got_rng)
+            for atom, law in zip(atoms, laws, strict=True):
+                mean, cov = oracles.sample_niw_one(law, want_rng)
+                assert np.array_equal(atom.mean, mean) and np.array_equal(atom.cov, cov)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def _draw_atoms_reference(family, members, known, rng):
+    """The per-slot draw: each slot's posterior law, drawn one at a time."""
+    laws = [] if family.known_niw is None else \
+        [niw_posterior(law, family.data[rows]) for law, rows in zip(family.known_niw, members)]
+    laws += [niw_posterior(family.base_measure, family.data[rows])
+             for rows in members[len(known):]]
+    atoms = [oracles.sample_niw_one(law, rng) for law in laws]
+    if family.known_niw is None:
+        return [(a.mean, a.cov) for a in known], atoms
+    return atoms[:len(known)], atoms[len(known):]
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_draw_atoms_equals_the_per_slot_draws(frozen):
+    rng = np.random.default_rng(21)
+    data = rng.normal(size=(30, 3)) * 2.0
+    kw = dict(lambda_tr=1e6, nu_tr=1e6) if frozen else {}
+    family = GaussianFamily(TestDataset(data), [_summary(np.zeros(3), np.eye(3))] * 2,
+                            _hyper([5, 5], 3, **kw))
+    known = family.initial_known()
+    zeta = rng.integers(1, 7, size=30)
+    zeta[:2] = 6  # slot 6 occupied; others may be empty
+    members = sampler._members(zeta, np.bincount(zeta, minlength=7))
+    got_known, got_novel = family.draw_atoms(members, known, [], np.random.default_rng(3))
+    want_known, want_novel = _draw_atoms_reference(family, members, known,
+                                                   np.random.default_rng(3))
+    if frozen:
+        assert got_known is known
+    for atom, (mean, cov) in zip(got_known + got_novel, want_known + want_novel, strict=True):
+        assert np.array_equal(atom.mean, mean) and np.array_equal(atom.cov, cov)
 
 
 def _full_columns(data, atoms):
     """Every unit's density under every atom, one full column per atom."""
-    return np.column_stack([log_gaussian_density_many(data, a.mean, np.linalg.cholesky(a.cov))
-                            for a in atoms])
+    return np.column_stack([oracles.gaussian_column(data, a.mean, a.cov) for a in atoms])
 
 
 def _family(data, n_known):
@@ -212,7 +272,7 @@ def _masked_loglik_case(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     data = rng.normal(size=(M, p)) * rng.uniform(0.1, 5.0)
     base = NIWParams(np.zeros(p), 0.1, p + 2.0, np.eye(p))
-    atoms = [sample_niw(base, rng) for _ in range(J + K)]
+    atoms = _atoms([base] * (J + K), rng)
     xi = xi_values(0.5, J, J + K)
     u = rng.random(M) * xi[J]
     single, full = draw(st.lists(st.integers(J + 1, J + K - 1), min_size=2,
@@ -229,27 +289,30 @@ def test_masked_loglik_equals_full_loglik_on_eligible_cells(case):
     data, known, novel, u, xi = case
     eligible = u[:, None] < xi
     full = _full_columns(data, known + novel)
-    got = _family(data, len(known)).loglik(known, novel, u, xi)
+    cells = _family(data, len(known)).loglik(known, novel, _staircase(u, xi))
+    got = oracles.staircase_to_dense(cells, u, xi)
     assert np.array_equal(got[eligible], full[eligible])
     assert np.all(got[~eligible] == -np.inf)
 
 
-@pytest.mark.parametrize("p", [1, 2, 7])
+@pytest.mark.parametrize("p", [1, 2, 7, 9])
 @pytest.mark.parametrize("M", [1, 2, 3, 40, 950])
 def test_prefix_densities_equal_full_columns_bit_for_bit(p, M):
-    """The u-sorted prefix blocks reproduce full-column densities, for
-    columns of 0, 1, 2, M - 1 and M eligible units."""
+    """The staircase reproduces full-column densities, for columns of 0, 1,
+    2, M - 1 and M eligible units (p = 9 sums its squares pairwise)."""
     rng = np.random.default_rng(100 * p + M)
     data = rng.normal(size=(M, p)) * 3.0
     base = NIWParams(np.zeros(p), 0.1, p + 2.0, np.eye(p))
-    atoms = [sample_niw(base, rng) for _ in range(8)]
+    atoms = _atoms([base] * 8, rng)
     u = rng.random(M)
     us = np.sort(u)
     xi = np.array([1.0, us[0], np.nextafter(us[0], 2.0), us[min(1, M - 1)],
                    np.nextafter(us[min(1, M - 1)], 2.0), us[-1], 1.0, 0.0])
     eligible = u[:, None] < xi
     assert {0, 1, min(2, M), max(M - 1, 0), M} <= set(eligible.sum(axis=0).tolist())
-    got = _family(data, 2).loglik(atoms[:2], atoms[2:], u, xi)
+    cells = _family(data, 2).loglik(atoms[:2], atoms[2:], _staircase(u, xi))
+    assert cells.shape == (np.count_nonzero(eligible),)
+    got = oracles.staircase_to_dense(cells, u, xi)
     assert np.array_equal(got[eligible], _full_columns(data, atoms)[eligible])
     assert np.all(got[~eligible] == -np.inf)
 
@@ -261,19 +324,33 @@ def test_stacked_factorisation_keeps_the_typed_errors(bad, error):
     rng = np.random.default_rng(0)
     data = rng.normal(size=(6, 2))
     base = NIWParams(np.zeros(2), 0.1, 4.0, np.eye(2))
-    atoms = [sample_niw(base, rng) for _ in range(4)]
+    atoms = _atoms([base] * 4, rng)
     atoms[2] = GaussianAtom(np.zeros(2), bad)
     with pytest.raises(error):
-        _family(data, 1).loglik(atoms[:1], atoms[1:], rng.random(6) * 0.1,
-                                np.full(4, 0.5))
+        _family(data, 1).loglik(atoms[:1], atoms[1:],
+                                _staircase(rng.random(6) * 0.1, np.full(4, 0.5)))
 
 
 def test_stacked_factorisation_rejects_a_non_finite_mean():
     rng = np.random.default_rng(1)
     atoms = [GaussianAtom(np.zeros(2), np.eye(2)), GaussianAtom([0.0, np.nan], np.eye(2))]
     with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-        _family(rng.normal(size=(4, 2)), 1).loglik(atoms[:1], atoms[1:], np.full(4, 0.1),
-                                                   np.full(2, 0.5))
+        _family(rng.normal(size=(4, 2)), 1).loglik(
+            atoms[:1], atoms[1:], _staircase(np.full(4, 0.1), np.full(2, 0.5)))
+
+
+def test_start_distances_of_column_major_data_equal_row_major():
+    """The start distances, which set the first allocation and its
+    chi-square gate, do not depend on the memory order of the data."""
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(25, 3)) * 2.0
+    priors = [_summary(rng.normal(size=3), np.diag([0.5, 2.0, 4.0])),
+              _summary(np.zeros(3), 3.0 * np.eye(3))]
+    hp = _hyper([5, 5], 3)
+    want, df = GaussianFamily(TestDataset(X), priors, hp).start_distances()
+    got, _ = GaussianFamily(TestDataset(np.asfortranarray(X)), priors, hp).start_distances()
+    assert np.array_equal(got, want)
+    assert want[:, 1] == pytest.approx((X ** 2).sum(axis=1) / 3.0, rel=1e-12)
 
 
 def test_start_distance_with_non_spd_scatter_is_a_numerical_error():
@@ -308,13 +385,19 @@ def _gumbel_allocations(rng, log_lik, weights, xi):
     return np.argmax(logits + rng.gumbel(size=logits.shape), axis=1) + 1
 
 
+def _allocate(rng, log_lik, weights, u, xi):
+    """The allocation step on the staircase of (u, xi), as a scan runs it."""
+    return _sample_allocations(rng, log_lik, weights, u, xi, _staircase(u, xi))
+
+
 def _staircase_case(seed, M, L):
-    """Log-likelihoods that are -inf where u_m >= xi_l, as a family gives them."""
+    """Log-likelihoods that are -inf where u_m >= xi_l, and their eligible
+    cells as the staircase a family gives."""
     rng = np.random.default_rng(seed)
     xi = xi_values(0.5, 2, L)
     u = rng.random(M) * xi[rng.integers(0, L, M)]
     log_lik = np.where(u[:, None] < xi, rng.normal(size=(M, L)) * 5.0, -np.inf)
-    return log_lik, rng.dirichlet(np.ones(L)), u, xi
+    return log_lik, oracles.dense_to_staircase(log_lik, u, xi), rng.dirichlet(np.ones(L)), u, xi
 
 
 class _CountingMath:
@@ -353,33 +436,32 @@ class TestAllocations:
         rng = np.random.default_rng(8)
         xi = np.array([0.5, 0.3, 0.2])
         u = np.full(5, 0.4)  # only component 1 is eligible
-        log_lik = np.where(u[:, None] < xi, 0.0, -np.inf)
-        zeta = _sample_allocations(rng, log_lik, np.array([0.2, 0.4, 0.4]), u, xi)
+        zeta = _allocate(rng, np.zeros(5), np.array([0.2, 0.4, 0.4]), u, xi)
         assert np.all(zeta == 1)
 
     def test_symmetric_components_split_evenly(self):
         rng = np.random.default_rng(9)
         n = 20000
-        log_lik = np.zeros((n, 2))
-        zeta = _sample_allocations(rng, log_lik, np.array([0.3, 0.3]),
+        log_lik = np.zeros(2 * n)
+        zeta = _allocate(rng, log_lik, np.array([0.3, 0.3]),
                                    np.full(n, 0.01), np.array([0.5, 0.5]))
         frac = np.mean(zeta == 1)
         assert frac == pytest.approx(0.5, abs=3 * 0.5 / math.sqrt(n))
 
     def test_likelihood_dominates(self):
         rng = np.random.default_rng(10)
-        log_lik = np.tile([0.0, -40.0], (50, 1))
-        zeta = _sample_allocations(rng, log_lik, np.array([0.5, 0.5]),
+        log_lik = np.repeat([0.0, -40.0], 50)  # column by column
+        zeta = _allocate(rng, log_lik, np.array([0.5, 0.5]),
                                    np.full(50, 0.1), np.array([0.5, 0.5]))
         assert np.all(zeta == 1)
 
     @pytest.mark.parametrize("seed, M, L", [(0, 1, 4), (1, 7, 3), (2, 950, 46),
                                             (3, 300, 80), (4, 105, 12)])
     def test_labels_and_generator_state_equal_the_gumbel_draw(self, seed, M, L):
-        log_lik, weights, u, xi = _staircase_case(seed, M, L)
+        log_lik, cells, weights, u, xi = _staircase_case(seed, M, L)
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
-            got = _sample_allocations(got_rng, log_lik, weights, u, xi)
+            got = _allocate(got_rng, cells, weights, u, xi)
             want = _gumbel_allocations(want_rng, log_lik, weights, xi)
             assert np.array_equal(got, want)
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -397,16 +479,17 @@ class TestAllocations:
         w = np.full(3, 0.25)
         counter = _CountingMath()
         monkeypatch.setattr(sampler, "math", counter)
-        got = _sample_allocations(np.random.default_rng(seed), log_lik, w, np.zeros(M), w)
+        got = _allocate(np.random.default_rng(seed), log_lik.T.ravel(), w,
+                                  np.zeros(M), w)
         want = _gumbel_allocations(np.random.default_rng(seed), log_lik, w, w)
         assert np.array_equal(got, want)
         assert np.array_equal(np.unique(want[up]), [2]) and np.all(want[~up] < 3)
         assert counter.logs >= 2 * 2 * M  # two logs per cell, two or more cells per unit
 
     def test_a_zero_uniform_falls_back_to_the_gumbel_stream(self):
-        log_lik, weights, u, xi = _staircase_case(5, 200, 20)
+        log_lik, cells, weights, u, xi = _staircase_case(5, 200, 20)
         rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
-        got = _sample_allocations(_ZeroUniform(rng), log_lik, weights, u, xi)
+        got = _allocate(_ZeroUniform(rng), cells, weights, u, xi)
         assert np.array_equal(got, _gumbel_allocations(want_rng, log_lik, weights, xi))
         assert rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -414,8 +497,11 @@ class TestAllocations:
         log_lik = np.zeros((3, 2))
         log_lik[1] = -np.inf
         with pytest.raises(AllSlicesEmpty):
-            _sample_allocations(np.random.default_rng(0), log_lik, np.array([0.5, 0.5]),
-                                np.full(3, 0.1), np.array([0.5, 0.5]))
+            _allocate(np.random.default_rng(0), log_lik.T.ravel(),
+                                np.array([0.5, 0.5]), np.full(3, 0.1), np.array([0.5, 0.5]))
+        with pytest.raises(AllSlicesEmpty):  # the unit at u = 0.6 has no cell at all
+            _allocate(np.random.default_rng(0), np.zeros(4), np.array([0.5, 0.5]),
+                                np.array([0.1, 0.6, 0.2]), np.array([0.5, 0.5]))
 
 
 class TestGibbsStep:

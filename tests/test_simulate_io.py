@@ -206,3 +206,84 @@ def test_zeta_and_label_traces_agree(n_known, n_scans, n_units, seed):
         for directory in dirs.values():
             with pytest.raises(ValueError, match="exactly one of alpha, beta must be positive"):
                 nio.load_chain(directory)
+
+
+def _saved_labels(directory, n_scans, n_units, n_known=2):
+    rng = np.random.default_rng(n_scans)
+    zeta = rng.integers(1, n_known + 4, size=(n_scans, n_units)).astype(np.int32)
+    out = ChainOutput(zeta_trace=zeta, pi_trace=np.full((n_scans, n_known + 1), 1 / (n_known + 1)),
+                      gamma_trace=np.ones(n_scans), n_active_trace=np.full(n_scans, 5),
+                      n_known=n_known, seed=0)
+    nio.save_chain(out, directory)
+    return out
+
+
+def test_binary_beta_is_read_in_row_blocks(tmp_path, monkeypatch):
+    """load_chain reads beta_trace.bin one row block at a time, and the
+    conversion gives the stored zeta trace."""
+    n_scans, n_units = 3 * _CHECK_ROWS + 11, 40
+    out = _saved_labels(tmp_path, n_scans, n_units)
+    beta_file = str(tmp_path / "beta_trace.bin")
+    reads, fromfile = [], np.fromfile
+
+    def spy(file, *args, **kwargs):
+        if str(file) == beta_file:
+            reads.append((kwargs.get("offset", 0), kwargs.get("count", -1)))
+        return fromfile(file, *args, **kwargs)
+
+    monkeypatch.setattr(np, "fromfile", spy)
+    back = nio.load_chain(tmp_path)
+    assert np.array_equal(back.zeta_trace, out.zeta_trace)
+    blocks = [(offset, count) for offset, count in reads if count]
+    assert max(count for _, count in blocks) == _CHECK_ROWS * n_units
+    assert sum(count for _, count in blocks) == n_scans * n_units
+    assert [offset for offset, _ in blocks] == [4 * lo * n_units
+                                                for lo in range(0, n_scans, _CHECK_ROWS)]
+
+
+def test_beta_range_error_comes_before_an_earlier_exclusivity_error(tmp_path):
+    """The whole-trace checks keep their order when beta is read by blocks:
+    a negative beta past the first block is reported, not the exclusivity
+    failure in the first block."""
+    n_scans, n_units = _CHECK_ROWS + 5, 3
+    out = _saved_labels(tmp_path, n_scans, n_units)
+    alpha, beta = out.alpha_trace, out.beta_trace
+    alpha[0, 0], beta[0, 0] = 1, 1  # both positive in the first block
+    beta[-1, 1], alpha[-1, 1] = -4, 0
+    alpha.astype("<i4").tofile(tmp_path / "alpha_trace.bin")
+    beta.astype("<i4").tofile(tmp_path / "beta_trace.bin")
+    with pytest.raises(ValueError, match="beta trace labels reach -4, below 0"):
+        nio.load_chain(tmp_path)
+    beta[-1, 1] = 2
+    beta.astype("<i4").tofile(tmp_path / "beta_trace.bin")
+    with pytest.raises(ValueError, match="exactly one of alpha, beta must be positive"):
+        nio.load_chain(tmp_path)
+
+
+@pytest.mark.parametrize("extra_rows", [1, -1])
+def test_beta_file_of_another_shape_is_a_parse_error(tmp_path, extra_rows):
+    """A beta_trace.bin with more or fewer rows than its metadata says (say,
+    from a longer chain) is rejected, as a whole-file read rejects it."""
+    n_scans, n_units = _CHECK_ROWS + 5, 3
+    out = _saved_labels(tmp_path, n_scans, n_units)
+    beta = out.beta_trace
+    rows = np.concatenate([beta, beta[:1]]) if extra_rows > 0 else beta[:-1]
+    rows.astype("<i4").tofile(tmp_path / "beta_trace.bin")
+    with pytest.raises(ParseError, match="beta_trace.bin: .* bytes, not the "
+                                         f"{4 * n_scans * n_units} of a <i4 trace"):
+        nio.load_chain(tmp_path)
+
+
+@pytest.mark.parametrize("n_scans, n_units", [(2 * _CHECK_ROWS + 7, 5), (0, 4), (3, 0)])
+def test_label_traces_written_by_row_blocks_have_whole_array_bytes(tmp_path, n_scans, n_units):
+    """save_chain derives and writes alpha and beta one row block at a time;
+    the files hold the bytes of one whole-array write in either format."""
+    out = _saved_labels(tmp_path / "bin", n_scans, n_units)
+    nio.save_chain(out, tmp_path / "csv", fmt="csv")
+    for name in ("alpha_trace", "beta_trace"):
+        whole = getattr(out, name)
+        whole.astype("<i4").tofile(tmp_path / f"{name}.bin")
+        np.savetxt(tmp_path / f"{name}.csv", np.atleast_2d(whole), fmt="%d", delimiter=",")
+        for fmt in nio.TRACE_FORMATS:
+            written = (tmp_path / fmt / f"{name}.{fmt}").read_bytes()
+            assert written == (tmp_path / f"{name}.{fmt}").read_bytes()
