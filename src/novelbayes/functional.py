@@ -290,19 +290,25 @@ def _sample_ig(rng, shape, scale):
 # curve atoms and the functional chain
 # ---------------------------------------------------------------------------
 
-def _curve_loglik(Y: np.ndarray, f: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
-    """Sum over grid points of log N(y_m(t); f(t), sigma2(t)) for every curve."""
-    const = -0.5 * np.sum(np.log(2.0 * math.pi * sigma2))
-    resid = Y - f
-    return const - 0.5 * (resid ** 2) @ (1.0 / sigma2)
+def _curve_loglik(Y: np.ndarray, F, S) -> np.ndarray:
+    """Sum over grid points of log N(y_m(t); f_k(t), s_k(t)) for every curve m
+    and every row k of the stacked curves F and S, as a (K, M) stack.  Row k
+    is one gemv on the full (M, T) block, in a buffer of the data's memory
+    order (another order switches the BLAS kernel): the bits of a K = 1 call."""
+    S = np.reshape(S, (-1, Y.shape[1]))
+    const = -0.5 * np.log(2.0 * math.pi * S).sum(axis=1)
+    out, resid = np.empty((S.shape[0], Y.shape[0])), np.empty_like(Y)
+    for f, w, row in zip(np.reshape(F, S.shape), 1.0 / S, out):
+        np.matmul(np.square(np.subtract(Y, f, out=resid), out=resid), w, out=row)
+    return np.add(const[:, None], np.multiply(out, -0.5, out=out), out=out)
 
 
 def _prior_novel_atom(rng, hyper: FunctionalHyper, Phi: np.ndarray) -> FunctionalNovelAtom:
     T, B = Phi.shape
-    tau2 = float(_sample_ig(rng, hyper.a_tau, hyper.b_tau))
-    psi = float(rng.normal(0.0, math.sqrt(hyper.s2)))
+    tau2 = hyper.b_tau / rng.gamma(hyper.a_tau)
+    psi = rng.normal(0.0, math.sqrt(hyper.s2))
     rho = rng.normal(psi, math.sqrt(tau2), size=B)
-    sigma2 = _sample_ig(rng, hyper.a_H, np.full(T, hyper.b_H))
+    sigma2 = hyper.b_H / rng.gamma(hyper.a_H, 1.0, size=T)
     return FunctionalNovelAtom(rho=rho, psi=psi, tau2=tau2, sigma2=sigma2, curve=Phi @ rho)
 
 
@@ -315,7 +321,8 @@ class CurveFamily:
     A novelty atom is a :class:`FunctionalNovelAtom`; an occupied slot
     updates its coefficients given the previous hierarchy and noise (a slot
     without one first draws it from the prior), an empty slot is a fresh
-    prior draw.
+    prior draw.  A frozen known class (phi = v = 0) has its log-likelihood
+    column computed once per fit, every other column in one stacked pass.
     """
 
     def __init__(self, test: CurveSet, priors: list, hyper: FunctionalHyper):
@@ -323,6 +330,11 @@ class CurveFamily:
         self.priors = priors
         self.hyper = hyper
         self.Phi = bspline_basis(hyper.basis, test.grid)
+        frozen = [j for j, pr in enumerate(priors) if pr.phi == pr.v == 0]
+        self.live = [j for j in range(len(priors)) if j not in frozen]
+        self.frozen_cols = _curve_loglik(self.data, [priors[j].mean_curve for j in frozen],
+                                         [priors[j].noise_curve for j in frozen])
+        self.known_row = np.argsort(frozen + self.live)  # class j's row in [frozen; live]
 
     def initial_known(self) -> list:
         return [(pr.mean_curve.copy(), pr.noise_curve.copy()) for pr in self.priors]
@@ -373,13 +385,15 @@ class CurveFamily:
                  for h, rows in enumerate(members[J:])])
 
     def loglik(self, known: list, novel: list, stair: Staircase) -> np.ndarray:
-        """Every column in full, then its eligible cells in staircase order.
-        A row subset of the ``resid**2 @ (1/sigma2)`` product is not
-        bit-identical to those rows of the full product (the BLAS blocks the
-        rows), so computing only the eligible rows would change the chain."""
-        cols = [_curve_loglik(self.data, f, s2) for f, s2 in known]
-        cols += [_curve_loglik(self.data, at.curve, at.sigma2) for at in novel]
-        return np.array(cols)[stair.col, stair.unit]
+        """The frozen columns and one stacked pass over the others, then the
+        eligible cells in staircase order.  A row subset of the ``resid**2 @
+        (1/sigma2)`` product is not bit-identical to those rows of the full
+        product (the BLAS blocks the rows), so every column is computed in full."""
+        live = [known[j] for j in self.live] + [(at.curve, at.sigma2) for at in novel]
+        rows = np.concatenate([self.frozen_cols, _curve_loglik(
+            self.data, [f for f, _ in live], [s2 for _, s2 in live])])
+        row = np.concatenate([self.known_row, np.arange(len(known), len(rows))])
+        return rows[row[stair.col], stair.unit]
 
     def snapshot(self, known: list, novel: list) -> dict:
         return {"known": [{"mean_curve": f.tolist()} for f, _ in known],

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    DataError,
     DegenerateData,
     InsufficientRows,
     NotPositiveDefinite,
@@ -474,11 +475,15 @@ def extract_class_priors(train: LabeledDataset, cfg: McdConfig) -> list[RobustCl
     is at most the dimension (h <= p, ``InsufficientRows``), or an MCD
     subset is singular (``SingularSubset``).  Each attempt draws from a
     fresh generator seeded with (cfg.seed, class index), so adding a class
-    never perturbs the others.
+    never perturbs the others.  A class whose n squared ranges can overflow
+    float64 in a sum of squared deviations is a ``DataError`` up front.
     """
     out = []
     for j in range(1, train.n_classes + 1):
         X = train.data[train.class_rows(j)]
+        half = np.ptp(X / 2, axis=0).max()  # half the range, which cannot overflow
+        if not half <= np.sqrt(np.finfo(float).max / len(X)) / 2:
+            raise DataError(f"class {j}: squared deviations overflow float64")
         try:
             try:
                 out.append(fast_mcd(X, cfg, rng=np.random.default_rng([cfg.seed, j])))

@@ -406,7 +406,8 @@ def _members(labels: np.ndarray, counts: np.ndarray) -> list:
     """Increasing row indices of each label 1..n, from one stable sort;
     ``counts`` is ``np.bincount(labels)`` padded to length n + 1."""
     order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(counts)[:-1])[1:]
+    bounds = np.cumsum(counts).tolist()
+    return [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _training_niw(summary: RobustClassSummary, hp: Hyperparameters) -> NIWParams:

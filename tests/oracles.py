@@ -271,6 +271,14 @@ def gaussian_column(X, mean, cov):
     return -0.5 * (X.shape[1] * math.log(2.0 * math.pi) + logdet + np.sum(Z * Z, axis=0))
 
 
+def curve_column(Y, f, sigma2):
+    """Sum over grid points of log N(y_m(t); f(t), sigma2(t)) for every
+    curve, one curve atom at a time."""
+    const = -0.5 * np.sum(np.log(2.0 * math.pi * sigma2))
+    resid = Y - f
+    return const - 0.5 * (resid ** 2) @ (1.0 / sigma2)
+
+
 def staircase_to_dense(cells, u, xi):
     """The (M, L) matrix of a staircase of eligible cells, -inf elsewhere;
     column l's cells belong to its n_l units of smallest u, in u order."""

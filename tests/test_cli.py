@@ -2,6 +2,7 @@ import json
 import re
 import urllib.error
 import urllib.request
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -379,17 +380,23 @@ def _adversarial_inputs(case, directory):
 def test_adversarial_inputs_end_in_their_exit_code(case, code, tmp_path, capsys):
     """Degenerate inputs run through Stage I and the chain and end in the
     documented exit code (0 success, 2 data error, 3 numerical failure);
-    at 1e160 the squared deviations overflow, a ValueError (exit 2)."""
+    at 1e160 the squared deviations would overflow, a DataError (exit 2)
+    raised before they are computed."""
     argv = _adversarial_inputs(case, tmp_path)
     out = tmp_path / "run"
-    assert run_cli(*argv, "--train", str(tmp_path / "train.csv"),
-                   "--test", str(tmp_path / "test.csv"), "--outdir", str(out),
-                   "--n-starts", "20", "--n-iter", "30", "--n-burnin", "10") == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(*argv, "--train", str(tmp_path / "train.csv"),
+                       "--test", str(tmp_path / "test.csv"), "--outdir", str(out),
+                       "--n-starts", "20", "--n-iter", "30", "--n-burnin", "10") == code
     err = capsys.readouterr().err
     if code:  # one line naming the failure, no traceback
         assert err.count("\n") == 1 and "Traceback" not in err
     else:
         assert (out / "summary" / "labels.csv").exists()
+    if case == "values near 1e160":
+        assert "overflow" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestManifestDeterminism:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from novelbayes import functional
 from novelbayes.errors import (
     DegenerateData,
     GridMismatch,
@@ -26,6 +27,7 @@ from novelbayes.functional import (
     tau2_conditional,
 )
 from novelbayes.robust import McdConfig
+from novelbayes.sampler import _staircase
 
 import oracles
 
@@ -354,3 +356,64 @@ class TestFunctionalChain:
         hyper = FunctionalHyper(a=np.array([0.1, 1.0]), n_iter=20, n_burnin=10, basis=spec)
         with pytest.raises(GridMismatch):
             run_functional_chain(bad, priors, hyper)
+
+
+class TestStackedCurveLoglik:
+    """The stacked log-likelihood pass and the lean prior draws hold the
+    bits of the one-atom-at-a-time forms."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("M", [1, 2, 5, 150])
+    @pytest.mark.parametrize("K", [1, 3, 32])
+    def test_stack_equals_the_per_atom_columns(self, K, M, order):
+        rng = np.random.default_rng(K * 1000 + M)
+        Phi = bspline_basis(BasisSpec(n_basis=11, order=4), np.linspace(0, 1, 37))
+        Y = np.asarray(rng.normal(size=(M, 37)), order=order)
+        F = rng.normal(size=(K, 11)) @ Phi.T
+        S = rng.gamma(2.0, 0.5, size=(K, 37))
+        got = functional._curve_loglik(Y, F, S)
+        assert got.shape == (K, M)
+        for k in range(K):
+            assert np.array_equal(got[k], oracles.curve_column(Y, F[k], S[k]))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_family_mixes_frozen_and_live_known_columns(self, order):
+        rng = np.random.default_rng(31)
+        grid = np.linspace(0, 1, 23)
+        spec = BasisSpec(n_basis=7, order=3)
+        test = CurveSet(grid, np.asarray(rng.normal(size=(40, 23)), order=order))
+        # frozen, phi only, frozen, v only, both
+        priors = [FunctionalKnownPrior(grid, rng.normal(size=23), rng.gamma(2.0, size=23),
+                                       phi=phi, v=v)
+                  for phi, v in [(0, 0), (0.05, 0), (0, 0), (0, 0.01), (0.05, 0.01)]]
+        hyper = FunctionalHyper(a=np.ones(6), basis=spec)
+        family = functional.CurveFamily(test, priors, hyper)
+        known = [(f, s2) if pr.phi == pr.v == 0 else (f + 0.1, 2.0 * s2)
+                 for pr, (f, s2) in zip(priors, family.initial_known())]
+        novel = [functional._prior_novel_atom(rng, hyper, family.Phi) for _ in range(4)]
+        u, xi = rng.random(40) * 0.6, np.sort(rng.random(9))[::-1]
+        got = oracles.staircase_to_dense(family.loglik(known, novel, _staircase(u, xi)), u, xi)
+        want = np.column_stack([oracles.curve_column(test.values, f, s2) for f, s2 in known]
+                               + [oracles.curve_column(test.values, at.curve, at.sigma2)
+                                  for at in novel])
+        eligible = u[:, None] < xi[None, :]
+        assert np.array_equal(got[eligible], want[eligible])
+        assert np.all(got[~eligible] == -np.inf)
+
+    def test_prior_atom_draws_and_generator_state(self):
+        def sample_ig(rng, shape, scale):
+            return scale / rng.gamma(shape, 1.0, size=np.shape(scale) or None)
+
+        hyper = FunctionalHyper(a=np.ones(2), a_tau=2.5, b_tau=0.7, s2=1.3, a_H=4.0, b_H=0.6)
+        Phi = bspline_basis(BasisSpec(n_basis=9, order=4), np.linspace(0, 1, 31))
+        got_rng, want_rng = np.random.default_rng(41), np.random.default_rng(41)
+        for _ in range(5):
+            atom = functional._prior_novel_atom(got_rng, hyper, Phi)
+            tau2 = float(sample_ig(want_rng, hyper.a_tau, hyper.b_tau))
+            psi = float(want_rng.normal(0.0, math.sqrt(hyper.s2)))
+            rho = want_rng.normal(psi, math.sqrt(tau2), size=9)
+            sigma2 = sample_ig(want_rng, hyper.a_H, np.full(31, hyper.b_H))
+            assert (atom.tau2, atom.psi) == (tau2, psi)
+            assert np.array_equal(atom.rho, rho) and np.array_equal(atom.sigma2, sigma2)
+            assert np.array_equal(atom.curve, Phi @ rho)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
