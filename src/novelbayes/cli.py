@@ -41,15 +41,14 @@ class _Option(NamedTuple):
     help: Optional[str] = None
 
 
-# every flag and config key; max-csteps, gamma-shape and gamma-rate are
-# config-only, since no command lists them in _COMMANDS
+# every flag and the only config keys; max-csteps, gamma-shape and
+# gamma-rate are config-only, since no command lists them in _COMMANDS
 _OPTIONS = {
     "config": _Option(help="flat key=value config file; flags override it"),
     "seed": _Option(int, help="root seed for the whole run"),
     "outdir": _Option(help="output directory"),
     "scenario": _Option(choices=("notsmall", "small")),
     "trace-format": _Option(choices=nio.TRACE_FORMATS),
-    "layout": _Option(choices=("wide", "long")),
     "label-noise": _Option(_flag),
     "header": _Option(_flag),
     **dict.fromkeys(("train", "test", "out", "m0", "chain-dir", "labels", "truth",
@@ -72,6 +71,9 @@ def _merged_config(args) -> dict:
     cfg = {}
     if getattr(args, "config", None):
         cfg.update(nio.read_config(args.config))
+        unknown = sorted(cfg.keys() - _OPTIONS.keys())
+        if unknown:
+            raise ParseError(f"{args.config}: unknown config key {', '.join(unknown)}")
     for key, value in vars(args).items():
         if key in ("config", "command") or value is None:
             continue
@@ -134,8 +136,7 @@ def _cmd_simulate(cfg) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     nio.write_multivariate(outdir / "train.csv", train.data, train.labels)
     nio.write_multivariate(outdir / "test.csv", test.data)
-    with open(outdir / "truth.csv", "w") as fh:
-        fh.writelines(f"{int(t)}\n" for t in truth)
+    nio.write_multivariate(outdir / "truth.csv", np.empty((truth.size, 0)), truth)
     nio.write_manifest(outdir, cfg, spec.seed, {})
     print(f"wrote train/test/truth to {outdir}")
     return 0
@@ -199,9 +200,8 @@ def _cmd_fit(cfg) -> int:
 
 
 def _cmd_fit_functional(cfg) -> int:
-    layout = _given(cfg, "layout")
-    train = nio.load_curves(cfg["train"], has_labels=True, **layout)
-    test = nio.load_curves(cfg["test"], **layout)
+    train = nio.load_curves(cfg["train"], has_labels=True)
+    test = nio.load_curves(cfg["test"])
     basis = BasisSpec(**_given(cfg, "n_basis", "order"))
     hyper = _chain_settings(FunctionalHyper, cfg, np.bincount(train.labels)[1:], 10000, 5000,
                             basis=basis, **_given(cfg, "a_tau", "b_tau", "s2", "a_H", "b_H"))
@@ -238,16 +238,8 @@ def _cmd_summarize(cfg) -> int:
 
 
 def _cmd_metrics(cfg) -> int:
-    labels = []
-    with open(cfg["labels"]) as fh:
-        if not fh.readline():
-            raise ParseError(f"{cfg['labels']}: empty file, expected a header row")
-        for lineno, line in enumerate(fh, start=2):
-            fields = line.split(",")
-            if len(fields) < 2:
-                raise ParseError(f"{cfg['labels']}: row {lineno} has no label column")
-            labels.append(int(fields[1]))
-    truth = [int(float(x)) for x in Path(cfg["truth"]).read_text().split()]
+    labels = nio.load_labels(cfg["labels"], column=1, has_header=True)
+    truth = nio.load_labels(cfg["truth"])
     known = list(range(1, _get(cfg, "n-known") + 1))
     out = {
         "ari": ari(labels, truth),
@@ -298,7 +290,7 @@ _COMMANDS = {
     "fit-functional": _Command(_cmd_fit_functional,
                                "fit-functional: stage I + sampler + post-processing",
                                _FIT_OPTIONS + ("n-basis", "order", "a-tau", "b-tau", "s2",
-                                               "a-h", "b-h", "phi", "v", "layout"),
+                                               "a-h", "b-h", "phi", "v"),
                                ("train", "test")),
     "summarize": _Command(_cmd_summarize, "recompute the posterior summary",
                           ("chain-dir", "ppn-threshold", "min-size"), ("chain-dir",)),

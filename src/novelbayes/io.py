@@ -1,11 +1,11 @@
 """File formats and persistence.
 
-CSV conventions: multivariate files carry p numeric columns (plus a trailing
-integer label column for training data); curve files are either wide (header
-row of time stamps, one row per curve) or long (first column is the grid,
-one column per curve).  Chain traces go to a directory as flat little-endian
-binaries (or CSV on request) described by a JSON metadata file, so nothing
-here is Python-specific.
+CSV conventions: multivariate files carry p numeric columns, and curve files
+a header row of time stamps and one row per curve; training files of both
+add a trailing integer label column.  ``load_labels`` reads and checks every
+integer label column, those that ``metrics`` scores too.  Chain traces go to
+a directory as flat little-endian binaries (or CSV on request) described by
+a JSON metadata file, so nothing here is Python-specific.
 """
 
 from __future__ import annotations
@@ -54,23 +54,31 @@ def _read_numeric_rows(path, has_header: bool):
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            if lineno == 1 and has_header:
+            parts = line.replace(",", " ").split()
+            if not parts or (lineno == 1 and has_header):
                 continue
-            line = line.strip()
-            if not line:
-                continue
-            parts = [p for p in line.replace(",", " ").split() if p]
             try:
                 rows.append([float(p) for p in parts])
             except ValueError as exc:
                 raise ParseError(f"{path}: row {lineno}: {exc}") from exc
+            if len(rows[-1]) != len(rows[0]):
+                raise ParseError(f"{path}: row {lineno} has {len(rows[-1])} fields, "
+                                 f"expected {len(rows[0])}")
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    width = len(rows[0])
-    for i, r in enumerate(rows, start=1):
-        if len(r) != width:
-            raise ParseError(f"{path}: row {i} has {len(r)} fields, expected {width}")
     return np.asarray(rows, dtype=float)
+
+
+def load_labels(path, column: int = 0, has_header: bool = False, table=None) -> np.ndarray:
+    """Column ``column`` of the CSV/whitespace table in ``path`` (read unless
+    passed as ``table``), checked to hold integer labels."""
+    table = _read_numeric_rows(path, has_header) if table is None else table
+    if column >= table.shape[1]:
+        raise ParseError(f"{path}: no label column {column + 1}")
+    labels = table[:, column]
+    if not np.all(np.isfinite(labels) & (labels == np.round(labels))):
+        raise ParseError(f"{path}: label column must be integer")
+    return labels.astype(int)
 
 
 def load_multivariate(path, has_labels: bool = False, has_header: bool = False):
@@ -79,64 +87,48 @@ def load_multivariate(path, has_labels: bool = False, has_header: bool = False):
     if has_labels:
         if table.shape[1] < 2:
             raise ParseError(f"{path}: need at least one feature column plus labels")
-        labels = table[:, -1]
-        if np.any(labels != np.round(labels)):
-            raise ParseError(f"{path}: label column must be integer")
-        return LabeledDataset(table[:, :-1], labels.astype(int))
+        return LabeledDataset(table[:, :-1], load_labels(path, -1, table=table))
     return TestDataset(table)
 
 
+def _write_rows(fh, rows, labels: Optional[np.ndarray] = None):
+    """One comma-separated line per row, floats as repr so they read back
+    exactly, with the row's integer label last if ``labels`` is given."""
+    for i, row in enumerate(rows):
+        fields = [repr(float(x)) for x in row]
+        if labels is not None:
+            fields.append(str(int(labels[i])))
+        fh.write(",".join(fields) + "\n")
+
+
 def write_multivariate(path, data: np.ndarray, labels: Optional[np.ndarray] = None):
-    data = np.atleast_2d(np.asarray(data, dtype=float))
     with open(path, "w") as fh:
-        for i in range(data.shape[0]):
-            fields = [repr(float(x)) for x in data[i]]
-            if labels is not None:
-                fields.append(str(int(labels[i])))
-            fh.write(",".join(fields) + "\n")
+        _write_rows(fh, np.atleast_2d(np.asarray(data, dtype=float)), labels)
 
 
-def load_curves(path, layout: str = "wide", has_labels: bool = False) -> CurveSet:
-    """Read curves; 'wide' = header of time stamps + one row per curve,
-    'long' = first column the grid, remaining columns one curve each."""
-    if layout == "wide":
-        with open(path) as fh:
-            header = fh.readline().strip()
-        try:
-            grid = np.asarray([float(x) for x in header.replace(",", " ").split()])
-        except ValueError as exc:
-            raise ParseError(f"{path}: header must hold numeric time stamps") from exc
-        table = _read_numeric_rows(path, has_header=True)
-        labels = None
-        if has_labels:
-            labels = table[:, -1].astype(int)
-            table = table[:, :-1]
-        if table.shape[1] != grid.size:
-            raise DimensionMismatch(
-                f"{path}: {table.shape[1]} value columns vs {grid.size} time stamps")
-        return CurveSet(grid, table, labels)
-    if layout == "long":
-        table = _read_numeric_rows(path, has_header=False)
-        return CurveSet(table[:, 0], table[:, 1:].T)
-    raise ValueError("layout must be 'wide' or 'long'")
+def load_curves(path, has_labels: bool = False) -> CurveSet:
+    """Read curves: a header row of time stamps, then one row per curve,
+    with the curve's integer label last if requested."""
+    with open(path) as fh:
+        header = fh.readline()
+    try:
+        grid = np.asarray([float(x) for x in header.replace(",", " ").split()])
+    except ValueError as exc:
+        raise ParseError(f"{path}: header must hold numeric time stamps") from exc
+    table = _read_numeric_rows(path, has_header=True)
+    labels = None
+    if has_labels:
+        table, labels = table[:, :-1], load_labels(path, -1, table=table)
+    if table.shape[1] != grid.size:
+        raise DimensionMismatch(
+            f"{path}: {table.shape[1]} value columns vs {grid.size} time stamps")
+    return CurveSet(grid, table, labels)
 
 
-def write_curves(path, curves: CurveSet, layout: str = "wide"):
-    if layout == "wide":
-        with open(path, "w") as fh:
-            fh.write(",".join(repr(float(t)) for t in curves.grid) + "\n")
-            for i in range(curves.n_curves):
-                fields = [repr(float(x)) for x in curves.values[i]]
-                if curves.labels is not None:
-                    fields.append(str(int(curves.labels[i])))
-                fh.write(",".join(fields) + "\n")
-    elif layout == "long":
-        with open(path, "w") as fh:
-            for t in range(curves.n_points):
-                fields = [repr(float(curves.grid[t]))] + [repr(float(x)) for x in curves.values[:, t]]
-                fh.write(",".join(fields) + "\n")
-    else:
-        raise ValueError("layout must be 'wide' or 'long'")
+def write_curves(path, curves: CurveSet):
+    with open(path, "w") as fh:
+        _write_rows(fh, [curves.grid])
+        _write_rows(fh, curves.values, curves.labels)
 
 
 # ---------------------------------------------------------------------------

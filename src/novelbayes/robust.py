@@ -109,27 +109,34 @@ class RobustClassSummary:
 
     ``untrimmed`` holds row indices relative to the data matrix the estimator
     was run on (class-local when produced by :func:`extract_class_priors`).
-    ``determinant`` is the value of the minimized objective: the subset
+    ``determinant`` is the value of the minimized objective (the subset
     covariance determinant for MCD, the regularized-scatter determinant for
-    MRCD.  ``condition_number`` and ``rho`` are populated by MRCD only.
+    MRCD) as ``exp(log_determinant)``: inf when that overflows, which
+    ``to_dict`` writes as None.  ``condition_number`` and ``rho`` are
+    populated by MRCD only.
     """
 
     mean: np.ndarray
     scatter: np.ndarray
     untrimmed: np.ndarray
     method: str
-    determinant: float
     log_determinant: float
     rho: Optional[float] = None
     condition_number: Optional[float] = None
 
+    @property
+    def determinant(self) -> float:
+        with np.errstate(over="ignore"):
+            return float(np.exp(self.log_determinant))
+
     def to_dict(self) -> dict:
+        det = self.determinant
         d = {
             "mean": self.mean.tolist(),
             "scatter": self.scatter.ravel().tolist(),
             "untrimmed": self.untrimmed.tolist(),
             "method": self.method,
-            "determinant": float(self.determinant),
+            "determinant": det if np.isfinite(det) else None,
             "log_determinant": float(self.log_determinant),
         }
         if self.rho is not None:
@@ -271,6 +278,7 @@ def _concentrate(X: np.ndarray, starts: np.ndarray, h: int, max_csteps: int, sca
         for k, exc in failed.items():
             errors[int(act[k])] = exc
         fine = np.array([k not in failed for k in range(act.size)])
+        live[act[~fine]] = False
         act = act[fine]
         new_idx = _smallest_h(dist[fine], h)
         moved = ~(new_idx == idx[act]).all(axis=1)
@@ -363,8 +371,7 @@ def fast_mcd(data: np.ndarray, cfg: McdConfig,
             raise _singular_determinant()
         return RobustClassSummary(
             mean=mean, scatter=c0 * cov, untrimmed=np.arange(n),
-            method="MCD", determinant=float(np.exp(logdet)),
-            log_determinant=float(logdet))
+            method="MCD", log_determinant=float(logdet))
 
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -373,8 +380,7 @@ def fast_mcd(data: np.ndarray, cfg: McdConfig,
     # final SPD check of the reported scatter
     _sq_mahalanobis(X[:1], mean, cov)
     return RobustClassSummary(
-        mean=mean, scatter=c0 * cov, untrimmed=idx, method="MCD",
-        determinant=float(np.exp(logdet)), log_determinant=float(logdet))
+        mean=mean, scatter=c0 * cov, untrimmed=idx, method="MCD", log_determinant=float(logdet))
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +465,7 @@ def mrcd(data: np.ndarray, cfg: McdConfig,
             logdet = float(logdet_w) + 2.0 * float(np.sum(np.log(np.diag(C))))
             return RobustClassSummary(
                 mean=mean, scatter=scatter, untrimmed=idx, method="MRCD",
-                determinant=float(np.exp(logdet)), log_determinant=logdet,
-                rho=float(rho), condition_number=cond)
+                log_determinant=logdet, rho=float(rho), condition_number=cond)
     raise NumericalError("no shrinkage weight met the condition-number bound")
 
 

@@ -391,14 +391,11 @@ def _sample_allocations(rng, log_lik, weights, u, xi, stair: Staircase) -> np.nd
     best = np.empty(M, dtype=np.intp)
     best[unit[near]] = near
     if near.size > M:  # a unit with a second cell: the first exact maximum wins
-        near = near[np.argsort(unit[near], kind="stable")]  # by unit, columns ascending
-        counts = np.bincount(unit[near], minlength=M)
-        for m, cells in enumerate(np.split(near, np.cumsum(counts)[:-1])):
-            if counts[m] > 1:
-                cells = cells.tolist()
-                exact = [logits[c] - math.log(-math.log(1.0 - U[c])) if screened else scores[c]
-                         for c in cells]
-                best[m] = cells[exact.index(max(exact))]
+        for m in np.flatnonzero(np.bincount(unit[near], minlength=M) > 1).tolist():
+            cells = near[unit[near] == m].tolist()  # columns ascending
+            exact = [logits[c] - math.log(-math.log(1.0 - U[c])) if screened else scores[c]
+                     for c in cells]
+            best[m] = cells[exact.index(max(exact))]
     return col[best] + 1
 
 

@@ -245,7 +245,8 @@ class TestErrorPaths:
         ("fit", "trace-format = xyz", "trace-format"),
         ("fit", "n-iter = abc", "n-iter"),
         ("fit-functional", "layout = diagonal", "layout"),
-    ], ids=["trace-format", "n-iter", "layout"])
+        ("fit", "n_iter = 5", "unknown config key n_iter"),
+    ], ids=["trace-format", "n-iter", "layout", "unknown-key"])
     def test_bad_config_value_stops_before_output_directory(
             self, command, line, key, sim_dir, tmp_path, capsys):
         conf = tmp_path / "run.conf"
@@ -272,6 +273,38 @@ class TestErrorPaths:
                        "--truth", str(sim_dir / "truth.csv"), "--n-known", "3")
         assert code == 2
         assert "row 3" in capsys.readouterr().err
+
+    def test_fractional_truth_label_is_data_error(self, fitted, tmp_path, capsys):
+        d, out = fitted
+        values = (d / "truth.csv").read_text().split()
+        truth = tmp_path / "truth.csv"
+        truth.write_text("\n".join(["1.7"] + values[1:]) + "\n")
+        code = run_cli("metrics", "--labels", str(out / "summary" / "labels.csv"),
+                       "--truth", str(truth), "--n-known", "3")
+        assert code == 2
+        assert f"{truth}: label column must be integer" in capsys.readouterr().err
+
+    def test_fractional_curve_label_stops_before_output_directory(self, tmp_path, capsys):
+        argv = _fit_argv("fit-functional", None, tmp_path)
+        train = tmp_path / "train.csv"
+        lines = train.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",1.7"  # was label 1
+        train.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "frun"
+        code = run_cli(*argv, "--outdir", str(out), "--n-iter", "30", "--n-burnin", "10")
+        assert code == 2
+        assert f"{train}: label column must be integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_layout_is_no_option(self, tmp_path, capsys):
+        """Curves are read in the wide layout only."""
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["fit-functional", "--help"])
+        assert "--layout" not in capsys.readouterr().out
+        out = tmp_path / "frun"
+        assert run_cli(*_fit_argv("fit-functional", None, tmp_path), "--layout", "wide",
+                       "--outdir", str(out), "--n-iter", "30", "--n-burnin", "10") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("meta", [
         {},
@@ -394,9 +427,17 @@ def test_adversarial_inputs_end_in_their_exit_code(case, code, tmp_path, capsys)
         assert err.count("\n") == 1 and "Traceback" not in err
     else:
         assert (out / "summary" / "labels.csv").exists()
+    if case == "values near 1e150":  # the determinants overflow: JSON null, not Infinity
+        doc = json.loads((out / "priors.json").read_text(), parse_constant=_not_json)
+        assert [c["determinant"] for c in doc["classes"]] == [None, None]
     if case == "values near 1e160":
         assert "overflow" in err
+    if case.startswith("values near"):
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not valid JSON")
 
 
 class TestManifestDeterminism:
@@ -415,6 +456,14 @@ class TestManifestDeterminism:
             b1 = (d / "r1" / rel).read_bytes()
             b2 = (d / "r2" / rel).read_bytes()
             assert b1 == b2, rel
+
+
+def test_every_option_is_offered_or_config_only():
+    """_OPTIONS decides which config keys are accepted, so a key that no
+    command offers and no config file needs would let a dead knob through."""
+    offered = {key for command in cli._COMMANDS.values() for key in command.options}
+    config_only = {"config", "seed", "outdir", "max-csteps", "gamma-shape", "gamma-rate"}
+    assert sorted(cli._OPTIONS.keys() - offered - config_only) == []
 
 
 def test_readme_configuration_lists_every_fit_option():

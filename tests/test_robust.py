@@ -230,6 +230,22 @@ class TestStackedCSteps:
             robust._best([(fits, errors)])
         assert raised.value is errors[failing[0]]
 
+    def test_a_start_whose_distances_fail_leaves_the_stack(self):
+        """Starts holding a rank-one half of the rows fail at their distances
+        and run no further C-steps, each with its own error."""
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(24, 3)) * 3
+        t = rng.normal(size=12)
+        X[:12] = np.outer(t, rng.normal(size=3)) + rng.normal(size=3)
+        h = 12
+        starts = np.array([np.arange(12)] + [np.sort(rng.choice(24, size=12, replace=False))
+                                             for _ in range(5)])
+        fits, errors = robust._c_steps(X, starts, h, 100)
+        _assert_fits_equal(fits, errors, [
+            _outcome(lambda: oracles.c_steps_one(X, start, h, 100, lambda cov: cov))
+            for start in starts])
+        assert fits[4].max() <= 3
+
     def test_a_failing_elemental_start_stops_the_search(self):
         X = np.zeros((6, 2))
         X[:, 0] = np.arange(6)  # every subset is collinear

@@ -43,7 +43,6 @@ def _summary(mean, scatter):
     scatter = np.asarray(scatter, dtype=float)
     return RobustClassSummary(
         mean=mean, scatter=scatter, untrimmed=np.arange(2), method="MCD",
-        determinant=float(np.linalg.det(scatter)),
         log_determinant=float(np.linalg.slogdet(scatter)[1]))
 
 

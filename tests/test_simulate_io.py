@@ -97,17 +97,9 @@ class TestTabularIo:
         rng = np.random.default_rng(2)
         curves = CurveSet(np.linspace(0, 1, 7), rng.normal(size=(4, 7)))
         path = tmp_path / "curves.csv"
-        nio.write_curves(path, curves, layout="wide")
-        back = nio.load_curves(path, layout="wide")
+        nio.write_curves(path, curves)
+        back = nio.load_curves(path)
         assert np.array_equal(back.grid, curves.grid)
-        assert np.array_equal(back.values, curves.values)
-
-    def test_curves_round_trip_long(self, tmp_path):
-        rng = np.random.default_rng(3)
-        curves = CurveSet(np.linspace(0, 2, 9), rng.normal(size=(3, 9)))
-        path = tmp_path / "curves_long.csv"
-        nio.write_curves(path, curves, layout="long")
-        back = nio.load_curves(path, layout="long")
         assert np.array_equal(back.values, curves.values)
 
 
