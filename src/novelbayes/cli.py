@@ -211,21 +211,12 @@ def _cmd_fit_functional(cfg) -> int:
         priors = extract_functional_priors(train, basis, mcd, **_given(cfg, "phi", "v"))
         output = run_functional_chain(test, priors, hyper)
         summary = _summarize(cfg, output)
-        return output, summary, lambda outdir: _write_cluster_means(outdir, test, summary)
+        return output, summary, lambda outdir: nio.write_cluster_means(
+            outdir / "novelty_cluster_means.csv", test, summary)
 
     outdir = _fit_common(cfg, run, hyper.seed)
     print(f"functional fit complete; outputs under {outdir}")
     return 0
-
-
-def _write_cluster_means(outdir: Path, test, summary):
-    """Mean curve of each novelty cluster of the best partition."""
-    with open(outdir / "novelty_cluster_means.csv", "w") as fh:
-        fh.write("cluster," + ",".join(repr(float(t)) for t in test.grid) + "\n")
-        for s in np.unique(summary.best_partition):
-            members = summary.novelty_units[summary.best_partition == s]
-            curve = test.values[members].mean(axis=0)
-            fh.write(f"{int(s)}," + ",".join(repr(float(x)) for x in curve) + "\n")
 
 
 def _cmd_summarize(cfg) -> int:

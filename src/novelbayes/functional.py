@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, GridMismatch, InvalidKnots, RankDeficientBasis
-from .model import ChainSettings, _chol, _cho_solve, _solve_triangular
+from .model import ChainSettings, _checked_rows, _chol, _cho_solve, _solve_triangular
 from .robust import LabeledDataset, McdConfig, extract_class_priors
 from .sampler import ChainOutput, Staircase, _run_gibbs
 
@@ -30,7 +30,9 @@ _NOISE_FLOOR = 1e-12
 
 @dataclass
 class CurveSet:
-    """Curves evaluated on a common strictly increasing grid."""
+    """Curves evaluated on a common strictly increasing grid.  Class labels,
+    when given, follow the rule of :class:`LabeledDataset`: classes 1..J,
+    each with at least two curves."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -38,21 +40,13 @@ class CurveSet:
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float).ravel()
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
+        self.values = _checked_rows(self.values, "curves contain non-finite values")
         if np.any(np.diff(self.grid) <= 0):
             raise ValueError("grid must be strictly increasing")
         if self.values.shape[1] != self.grid.size:
             raise DimensionMismatch("values must have one column per grid point")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("curves contain non-finite values")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=int).ravel()
-            if self.labels.size != self.values.shape[0]:
-                raise DimensionMismatch("one label per curve required")
-
-    @property
-    def n_curves(self) -> int:
-        return self.values.shape[0]
+            self.labels = LabeledDataset(self.values, self.labels).labels
 
     @property
     def n_points(self) -> int:
@@ -354,9 +348,8 @@ class CurveFamily:
                                                members.size, prev[1])
             f = mean + np.sqrt(var) * rng.standard_normal(f.size)
         if pr.v > 0:
-            a_t, b_t = pr.noise_ig_params()
-            s2 = _sample_ig(rng, a_t + members.size / 2.0,
-                            b_t + 0.5 * np.sum((Y - f) ** 2, axis=0))
+            s2 = _sample_ig(rng, *sigma2_conditional(np.sum((Y - f) ** 2, axis=0), members.size,
+                                                     *pr.noise_ig_params()))
         return f, s2
 
     def draw_novel(self, members: np.ndarray, prev, rng) -> FunctionalNovelAtom:

@@ -1,11 +1,15 @@
 """File formats and persistence.
 
+Every input table and every file of a run directory is read or written here.
 CSV conventions: multivariate files carry p numeric columns, and curve files
 a header row of time stamps and one row per curve; training files of both
-add a trailing integer label column.  ``load_labels`` reads and checks every
-integer label column, those that ``metrics`` scores too.  Chain traces go to
-a directory as flat little-endian binaries (or CSV on request) described by
-a JSON metadata file, so nothing here is Python-specific.
+add a trailing integer label column, whose classes the dataset types check
+(1..J, at least two rows or curves each).  ``load_labels`` reads and checks
+every integer label column, those that ``metrics`` scores too.  A
+functional fit's novelty cluster means are a curve file led by a cluster
+column.  Chain traces go to a directory as flat little-endian binaries (or
+CSV on request) described by a JSON metadata file, so nothing here is
+Python-specific.
 """
 
 from __future__ import annotations
@@ -129,6 +133,19 @@ def write_curves(path, curves: CurveSet):
     with open(path, "w") as fh:
         _write_rows(fh, [curves.grid])
         _write_rows(fh, curves.values, curves.labels)
+
+
+def write_cluster_means(path, curves: CurveSet, summary):
+    """The mean curve of each novelty cluster of ``summary``'s best
+    partition, one row led by the cluster's id, under the header row
+    ``cluster`` and the grid."""
+    with open(path, "w") as fh:
+        fh.write("cluster,")
+        _write_rows(fh, [curves.grid])
+        for s in np.unique(summary.best_partition):
+            fh.write(f"{int(s)},")
+            _write_rows(fh, [curves.values[summary.novelty_units[summary.best_partition == s]]
+                             .mean(axis=0)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Core probability model: hyperparameters, stick breaking, the deterministic
-slice sequence with its truncation rule, the membership-index mapping, Gaussian
-primitives, the two chi-square values, and closed-form prior moments of the
-mixing measure.
+slice sequence with its truncation rule, the membership-index mapping, the
+one check of a data block's rows, Gaussian primitives (with the squared
+Mahalanobis distances under a stack of (mean, cov) pairs), the two
+chi-square values, and closed-form prior moments of the mixing measure.
 
 Everything in this module is a pure function of its inputs; the sampler owns
 all mutable state.  This module is the package's only door to scipy: its
@@ -267,8 +268,17 @@ def alpha_beta_to_zeta(alpha, beta, n_known: int):
 
 
 # ---------------------------------------------------------------------------
-# Gaussian primitives
+# data blocks and Gaussian primitives
 # ---------------------------------------------------------------------------
+
+def _checked_rows(data, message: str) -> np.ndarray:
+    """``data`` as a 2-D float array of rows; ``ValueError(message)`` if an
+    entry is NaN or infinite."""
+    X = np.atleast_2d(np.asarray(data, dtype=float))
+    if not np.all(np.isfinite(X)):
+        raise ValueError(message)
+    return X
+
 
 def _chol(cov: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of one covariance or of an (n, p, p) stack:
@@ -326,12 +336,16 @@ def _chi2_cdf(x: float, df: int) -> float:
     return chdtr(df, x)
 
 
-def _mahalanobis_chol(X: np.ndarray, mean: np.ndarray, cov: np.ndarray):
-    """Squared Mahalanobis distance of every row of X from ``mean`` under
-    ``cov``, and the Cholesky factor of ``cov``.  The rows of X are finite
-    (the data are checked when loaded); ``mean`` is checked here."""
-    L = _chol(cov)
-    return _block_distances(X - np.asarray_chkfinite(mean), L[None], [X.shape[0]]), L
+def _sq_distances(X: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis distances of the rows of X under every (mean,
+    cov) pair of the stacks ``means`` (S, p) and ``covs`` (S, p, p), as an
+    (S, n) array whose row k has the bits of a one-pair call.  The rows of
+    X are finite (the data are checked when loaded); the factors come from
+    one :func:`_chol` call, and the means are checked after them."""
+    (n, p), factors = X.shape, _chol(covs)
+    S = len(factors)
+    D = X - np.asarray_chkfinite(means)[:, None, :]
+    return _block_distances(D.reshape(S * n, p), factors, [n] * S).reshape(S, n)
 
 
 def _block_distances(D: np.ndarray, factors, sizes) -> np.ndarray:

@@ -22,14 +22,7 @@ from .errors import (
     NumericalError,
     SingularSubset,
 )
-from .model import (
-    _block_distances,
-    _chi2_cdf,
-    _chi2_ppf,
-    _chol,
-    _mahalanobis_chol,
-    _solve_triangular,
-)
+from .model import _checked_rows, _chi2_cdf, _chi2_ppf, _chol, _solve_triangular, _sq_distances
 
 _DET_TOL = 1e-9  # relative slack when checking the C-step descent property
 _MAX_CONDITION = 1000.0  # bound on the condition number of an MRCD scatter
@@ -48,12 +41,10 @@ class LabeledDataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        self.data = np.atleast_2d(np.asarray(self.data, dtype=float))
+        self.data = _checked_rows(self.data, "training data contains non-finite entries")
         self.labels = np.asarray(self.labels, dtype=int).ravel()
         if self.data.shape[0] != self.labels.size:
             raise ValueError("labels length must match number of rows")
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("training data contains non-finite entries")
         if self.labels.min(initial=1) < 1:
             raise ValueError("labels must be 1-based class indices")
         J = int(self.labels.max())
@@ -176,7 +167,7 @@ def _subset_moments(X: np.ndarray, idx: np.ndarray):
 
 def _sq_mahalanobis(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     try:
-        return _mahalanobis_chol(X, mean, cov)[0]
+        return _sq_distances(X, mean[None], cov[None])[0]
     except NotPositiveDefinite as exc:
         raise SingularSubset("subset covariance is singular") from exc
 
@@ -184,22 +175,18 @@ def _sq_mahalanobis(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndar
 def _stacked_sq_mahalanobis(X: np.ndarray, means: np.ndarray, covs: np.ndarray):
     """:func:`_sq_mahalanobis` of every (mean, cov) pair of a stack, as an
     (S, n) array, and the error each failing pair raises by position.  The
-    factors come from one stacked call; when it fails, the pairs are taken
-    one by one."""
-    S, n, p = len(means), X.shape[0], X.shape[1]
+    stack is taken in one call; when it fails, the pairs are taken one by
+    one."""
     try:
-        factors = _chol(covs)
-        np.asarray_chkfinite(means)
+        return _sq_distances(X, means, covs), {}
     except (NotPositiveDefinite, ValueError):
-        dist, errors = np.empty((S, n)), {}
-        for k in range(S):
+        dist, errors = np.empty((len(means), X.shape[0])), {}
+        for k in range(len(means)):
             try:
                 dist[k] = _sq_mahalanobis(X, means[k], covs[k])
             except (SingularSubset, ValueError) as exc:
                 errors[k] = exc
         return dist, errors
-    D = X - means[:, None, :]
-    return _block_distances(D.reshape(S * n, p), factors, [n] * S).reshape(S, n), {}
 
 
 def _smallest_h(dist: np.ndarray, h: int) -> np.ndarray:
@@ -354,9 +341,7 @@ def fast_mcd(data: np.ndarray, cfg: McdConfig,
         If a minimizing subset is (numerically) rank deficient; callers
         should fall back to :func:`mrcd`.
     """
-    X = np.atleast_2d(np.asarray(data, dtype=float))
-    if not np.all(np.isfinite(X)):
-        raise ValueError("data contains non-finite entries")
+    X = _checked_rows(data, "data contains non-finite entries")
     n, p = X.shape
     h = int(np.floor(cfg.eta * n))
     if h < p + 1:
@@ -415,9 +400,7 @@ def mrcd(data: np.ndarray, cfg: McdConfig,
     in condition number, bumped upward if the optimized subset violates the
     bound.  Applicable whenever n >= 2, including p >= h.
     """
-    X = np.atleast_2d(np.asarray(data, dtype=float))
-    if not np.all(np.isfinite(X)):
-        raise ValueError("data contains non-finite entries")
+    X = _checked_rows(data, "data contains non-finite entries")
     n, p = X.shape
     if n < 2:
         raise InsufficientRows("mrcd needs at least two observations")

@@ -55,10 +55,11 @@ from .model import (
     NIWParams,
     _alpha_of,
     _beta_of,
+    _checked_rows,
     _chi2_ppf,
     _chol,
-    _mahalanobis_chol,
     _solve_triangular,
+    _sq_distances,
     alpha_beta_to_zeta,
     log_gaussian_density_many,
     stick_breaking,
@@ -79,9 +80,7 @@ class TestDataset:
     data: np.ndarray
 
     def __post_init__(self):
-        self.data = np.atleast_2d(np.asarray(self.data, dtype=float))
-        if self.data.size and not np.all(np.isfinite(self.data)):
-            raise ValueError("test data contains non-finite entries")
+        self.data = _checked_rows(self.data, "test data contains non-finite entries")
 
     def __len__(self) -> int:
         return self.data.shape[0]
@@ -442,9 +441,9 @@ class GaussianFamily:
         return [GaussianAtom(s.mean, s.scatter) for s in self.priors]
 
     def start_distances(self):
-        d2 = np.column_stack([_mahalanobis_chol(self.data, s.mean, s.scatter)[0]
-                              for s in self.priors])
-        return d2, self.data.shape[1]
+        d2 = _sq_distances(self.data, np.array([s.mean for s in self.priors]),
+                           np.array([s.scatter for s in self.priors]))
+        return d2.T, self.data.shape[1]
 
     def draw_atoms(self, members: list, known: list, novel: list, rng) -> tuple:
         """Every slot's atom from its members' rows, the random draws slot

@@ -377,15 +377,29 @@ class TestErrorPaths:
         assert code == 2
 
 
+# curve training labels that break the class rule, and the rule's message
+_CURVE_LABELS = {
+    "curve labels 1 and 3": ([1, 1, 1, 3, 3, 3], "labels must cover every class 1..J"),
+    "a curve label of -1": ([1, 1, 1, 1, 1, -1], "labels must be 1-based class indices"),
+    "a class of one curve": ([1, 1, 1, 1, 1, 2], "every class needs at least two observations"),
+}
+
+
 def _adversarial_inputs(case, directory):
     """Train and test files of one degenerate input, and the fit command."""
     rng = np.random.default_rng(7)
     p, scale, sizes = 2, 1.0, (30, 30)
     test = rng.normal(size=(20, 2))
-    if case == "constant curves":
+    if case == "constant curves" or case in _CURVE_LABELS:
         grid = np.linspace(0, 1, 20)
-        nio.write_curves(directory / "train.csv",
-                         CurveSet(grid, np.ones((12, 20)), np.repeat([1, 2], 6)))
+        if case == "constant curves":
+            nio.write_curves(directory / "train.csv",
+                             CurveSet(grid, np.ones((12, 20)), np.repeat([1, 2], 6)))
+        else:  # written as text, since a CurveSet rejects these labels
+            rows = [[*np.sin(6 * grid) + rng.normal(0, 0.1, 20), label]
+                    for label in _CURVE_LABELS[case][0]]
+            (directory / "train.csv").write_text(
+                "".join(",".join(map(str, row)) + "\n" for row in [grid, *rows]))
         nio.write_curves(directory / "test.csv", CurveSet(grid, np.ones((5, 20))))
         return ["fit-functional", "--n-basis", "8", "--order", "3"]
     if case == "one test row":
@@ -409,12 +423,13 @@ def _adversarial_inputs(case, directory):
 @pytest.mark.parametrize("case, code", [
     ("one test row", 0), ("one feature", 0), ("duplicated test rows", 0),
     ("a class of two rows", 0), ("values near 1e150", 0), ("values near 1e160", 2),
-    ("constant curves", 2)])
+    ("constant curves", 2), *((case, 2) for case in _CURVE_LABELS)])
 def test_adversarial_inputs_end_in_their_exit_code(case, code, tmp_path, capsys):
     """Degenerate inputs run through Stage I and the chain and end in the
     documented exit code (0 success, 2 data error, 3 numerical failure);
     at 1e160 the squared deviations would overflow, a DataError (exit 2)
-    raised before they are computed."""
+    raised before they are computed.  Curve training labels follow the
+    multivariate class rule and fail when the file is loaded."""
     argv = _adversarial_inputs(case, tmp_path)
     out = tmp_path / "run"
     with warnings.catch_warnings(record=True) as caught:
@@ -432,6 +447,8 @@ def test_adversarial_inputs_end_in_their_exit_code(case, code, tmp_path, capsys)
         assert [c["determinant"] for c in doc["classes"]] == [None, None]
     if case == "values near 1e160":
         assert "overflow" in err
+    if case in _CURVE_LABELS:
+        assert err == f"error: {_CURVE_LABELS[case][1]}\n" and not out.exists()
     if case.startswith("values near"):
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 

@@ -166,6 +166,21 @@ class TestFunctionalPriors:
                                       McdConfig(eta=0.75, n_starts=5))
 
 
+class TestCurveSet:
+    def test_labels_follow_the_multivariate_class_rule(self):
+        """Curve labels are checked by the rule of LabeledDataset: classes
+        1..J, each present, each with at least two curves."""
+        grid = np.linspace(0, 1, 5)
+        values = np.zeros((4, 5))
+        with pytest.raises(ValueError, match="labels must cover every class 1..J"):
+            CurveSet(grid, values, [1, 1, 3, 3])
+        with pytest.raises(ValueError, match="labels must be 1-based class indices"):
+            CurveSet(grid, values, [1, 1, 1, -1])
+        with pytest.raises(ValueError, match="every class needs at least two observations"):
+            CurveSet(grid, values, [1, 1, 1, 2])
+        assert CurveSet(grid, values, [2, 1, 2, 1]).labels.tolist() == [2, 1, 2, 1]
+
+
 class TestIgParameterization:
     def test_hand_example(self):
         prior = FunctionalKnownPrior(

@@ -1,5 +1,7 @@
 """Every module of the package and of its tests uses each name it imports,
-and every private module-level name of the package is read somewhere in it.
+every private module-level name of the package is read somewhere in it, and
+every method and property of its classes is read in the package, its tests
+or the benchmark.
 Only ``model.py`` imports scipy, no package module imports inside a
 function, and importing the CLI does not load ``scipy.stats``.  Every
 function the benchmark's layer probes wrap exists in the package.
@@ -65,11 +67,11 @@ def _private_definitions(tree: ast.Module) -> dict:
     return found
 
 
-def _unused_private_definitions(sources: dict) -> list:
-    """Module-level private names that no module among ``sources`` reads."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
+def _names_read(trees) -> set:
+    """Every name the trees load, every attribute they name, and every name
+    they import from a module."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -77,6 +79,13 @@ def _unused_private_definitions(sources: dict) -> list:
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
+    return read
+
+
+def _unused_private_definitions(sources: dict) -> list:
+    """Module-level private names that no module among ``sources`` reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = _names_read(trees.values())
     return sorted(f"{module} line {line}: {name}"
                   for module, tree in trees.items()
                   for name, line in _private_definitions(tree).items() if name not in read)
@@ -94,6 +103,43 @@ def test_the_scan_finds_an_unused_private_definition():
 def test_no_unused_private_definitions():
     sources = {p.name: p.read_text() for p in PACKAGE}
     assert _unused_private_definitions(sources) == []
+
+
+def _members(tree: ast.Module) -> list:
+    """(class, name, line) of the methods and properties of the module's
+    classes, dunder names aside."""
+    return [(cls.name, node.name, node.lineno)
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("__")]
+
+
+def _unused_members(package: dict, readers: dict) -> list:
+    """Methods and properties of the classes in ``package`` that no module
+    of ``package`` or ``readers`` reads."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    read = _names_read([*trees.values(), *(ast.parse(s) for s in readers.values())])
+    return sorted(f"{module} line {line}: {cls}.{name}"
+                  for module, tree in trees.items()
+                  for cls, name, line in _members(tree) if name not in read)
+
+
+def test_the_scan_finds_an_unused_method_or_property():
+    package = {"a.py": ("class A:\n    def __init__(self):\n        self.x = self.kept\n\n"
+                        "    @property\n    def kept(self):\n        return 1\n\n"
+                        "    @property\n    def lost(self):\n        return 2\n\n"
+                        "    def used(self):\n        pass\n\n"
+                        "    def orphan(self):\n        pass\n")}
+    readers = {"t.py": "from a import A\n\nA().used()\n"}
+    assert _unused_members(package, readers) == ["a.py line 10: A.lost",
+                                                 "a.py line 16: A.orphan"]
+
+
+def test_no_unused_methods_or_properties():
+    readers = [*(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    assert _unused_members({p.name: p.read_text() for p in PACKAGE},
+                           {str(p): p.read_text() for p in readers}) == []
 
 
 def _scipy_imports(source: str) -> list:

@@ -18,8 +18,8 @@ from novelbayes.model import (
     _chi2_ppf,
     _cho_solve,
     _chol,
-    _mahalanobis_chol,
     _solve_triangular,
+    _sq_distances,
     alpha_beta_to_zeta,
     log_gaussian_density,
     log_gaussian_density_many,
@@ -217,11 +217,11 @@ class TestLogGaussian:
         cov = A @ A.T + p * np.eye(p)
         mean, X = rng.normal(size=p), rng.normal(size=(30, p)) * 4.0
         L = np.linalg.cholesky(cov)
-        d2 = _mahalanobis_chol(X, mean, cov)[0]
+        d2 = _sq_distances(X, mean[None], cov[None])[0]
         Z = solve_triangular(L, (X - mean).T, lower=True)
         assert d2 == pytest.approx(np.sum(Z * Z, axis=0), rel=1e-12)
         F = np.asfortranarray(X)
-        assert np.array_equal(_mahalanobis_chol(F, mean, cov)[0], d2)
+        assert np.array_equal(_sq_distances(F, mean[None], cov[None])[0], d2)
         want = log_gaussian_density_many(X, mean[None], L[None], [30])
         assert np.array_equal(log_gaussian_density_many(F, mean[None], L[None], [30]), want)
 
@@ -292,7 +292,8 @@ class TestSolveLower:
             A = rng.normal(size=(p, p))
             cov = A @ A.T + np.eye(p)
             Z = solve_triangular(np.linalg.cholesky(cov), (X - mean).T, lower=True)
-            assert np.array_equal(_mahalanobis_chol(X, mean, cov)[0], np.sum(Z * Z, axis=0))
+            assert np.array_equal(_sq_distances(X, mean[None], cov[None])[0],
+                                  np.sum(Z * Z, axis=0))
 
     @pytest.mark.parametrize("p", [1, 3])
     def test_singular_factor_raises_what_the_wrapper_raises(self, p):
@@ -307,7 +308,7 @@ class TestSolveLower:
         X, cov = np.zeros((3, 2)), np.eye(2)
         mean = np.array([0.0, np.nan])
         want = _outcome(lambda: solve_triangular(np.eye(2), (X - mean).T, lower=True))
-        assert _outcome(lambda: _mahalanobis_chol(X, mean, cov)) == want
+        assert _outcome(lambda: _sq_distances(X, mean[None], cov[None])) == want
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_covariance_raises_what_the_wrapper_raised(self, bad):

@@ -352,6 +352,24 @@ def test_start_distances_of_column_major_data_equal_row_major():
     assert want[:, 1] == pytest.approx((X ** 2).sum(axis=1) / 3.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_stacked_start_distances_equal_the_per_prior_reference(order):
+    """One stacked call gives each prior's column the bits of scipy's
+    triangular solve of that prior alone."""
+    rng = np.random.default_rng(30)
+    for J in range(1, 6):
+        for p in range(1, 10):
+            n = int(rng.integers(1, 301))
+            X = np.asarray(rng.normal(size=(n, p)) * 3.0, order=order)
+            covs = [A @ A.T + p * np.eye(p) for A in rng.normal(size=(J, p, p))]
+            priors = [_summary(mean, cov) for mean, cov in zip(rng.normal(size=(J, p)), covs)]
+            got, df = GaussianFamily(TestDataset(X), priors, _hyper([5] * J, p)).start_distances()
+            assert got.shape == (n, J) and df == p
+            for j, s in enumerate(priors):
+                Z = solve_triangular(np.linalg.cholesky(s.scatter), (X - s.mean).T, lower=True)
+                assert np.array_equal(got[:, j], np.sum(Z * Z, axis=0))
+
+
 def test_start_distance_with_non_spd_scatter_is_a_numerical_error():
     family = GaussianFamily(TestDataset(np.ones((3, 2))),
                             [_summary(np.zeros(2), -np.eye(2))], _hyper([5], 2))
