@@ -41,8 +41,6 @@ from .model import (
     Hyperparameters,
     NIWParams,
     PriorMoments,
-    alpha_beta_to_zeta,
-    log_gaussian_density,
     prior_covariance,
     prior_mean,
     prior_variance,
@@ -50,7 +48,6 @@ from .model import (
     tie_probability,
     truncation_level,
     xi_sequence,
-    zeta_to_alpha_beta,
 )
 from .postprocess import (
     PosteriorSummary,

@@ -202,13 +202,13 @@ def _cmd_fit(cfg) -> int:
 def _cmd_fit_functional(cfg) -> int:
     train = nio.load_curves(cfg["train"], has_labels=True)
     test = nio.load_curves(cfg["test"])
-    basis = BasisSpec(**_given(cfg, "n_basis", "order"))
     hyper = _chain_settings(FunctionalHyper, cfg, np.bincount(train.labels)[1:], 10000, 5000,
-                            basis=basis, **_given(cfg, "a_tau", "b_tau", "s2", "a_H", "b_H"))
+                            basis=BasisSpec(**_given(cfg, "n_basis", "order")),
+                            **_given(cfg, "a_tau", "b_tau", "s2", "a_H", "b_H", "phi", "v"))
     mcd = _mcd_config(cfg)
 
     def run():
-        priors = extract_functional_priors(train, basis, mcd, **_given(cfg, "phi", "v"))
+        priors = extract_functional_priors(train, hyper.basis, mcd)
         output = run_functional_chain(test, priors, hyper)
         summary = _summarize(cfg, output)
         return output, summary, lambda outdir: nio.write_cluster_means(

@@ -77,21 +77,12 @@ class BasisSpec:
 
 @dataclass
 class FunctionalKnownPrior:
-    """Training-derived prior for one observed class.
-
-    ``phi`` is the pointwise prior variance around the mean curve and ``v``
-    the prior variance of the noise level; zero means the corresponding
-    quantity stays frozen at its training estimate (inductive mode).  For
-    v > 0 the noise prior at each t is
-    IG(2 + sbar^4/v, sbar^2 (1 + sbar^4/v)), which has mean sbar^2(t) and
-    variance v exactly.
-    """
+    """Training-derived prior for one observed class: its mean curve and its
+    pointwise noise curve sbar^2(t) on the training grid."""
 
     grid: np.ndarray
     mean_curve: np.ndarray
     noise_curve: np.ndarray
-    phi: float = 0.0
-    v: float = 0.0
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float).ravel()
@@ -101,13 +92,13 @@ class FunctionalKnownPrior:
             raise DimensionMismatch("curves must share the grid length")
         if np.any(self.noise_curve <= 0):
             raise ValueError("noise curve must be positive everywhere")
-        if self.phi < 0 or self.v < 0:
-            raise ValueError("phi and v must be non-negative")
 
-    def noise_ig_params(self):
-        if self.v <= 0:
+    def noise_ig_params(self, v: float):
+        """IG(2 + sbar^4/v, sbar^2 (1 + sbar^4/v)) at each t: the noise prior
+        with mean sbar^2(t) and variance v > 0 exactly."""
+        if v <= 0:
             raise ValueError("IG parameterization requires v > 0")
-        ratio = self.noise_curve ** 2 / self.v
+        ratio = self.noise_curve ** 2 / v
         return 2.0 + ratio, self.noise_curve * (1.0 + ratio)
 
 
@@ -132,8 +123,16 @@ class FunctionalNovelAtom:
 class FunctionalHyper(ChainSettings):
     """Settings of the functional chain: the hierarchy of the novelty
     coefficients (IG(a_tau, b_tau) variance, N(0, s2) level), the IG(a_H,
-    b_H) pointwise noise of novelty atoms, and the spline basis."""
+    b_H) pointwise noise of novelty atoms, and the spline basis.
 
+    ``phi`` is the pointwise prior variance of a known class's mean curve
+    around its training estimate and ``v`` the prior variance of its noise
+    level; phi = v = 0 freezes every known atom at the training estimates
+    (inductive mode), and otherwise a zero keeps that quantity frozen.
+    """
+
+    phi: float = 0.0
+    v: float = 0.0
     a_tau: float = 3.0
     b_tau: float = 1.0
     s2: float = 1.0
@@ -146,6 +145,8 @@ class FunctionalHyper(ChainSettings):
         for name in ("a_tau", "b_tau", "s2", "a_H", "b_H"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if min(self.phi, self.v) < 0:
+            raise ValueError("phi and v must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +208,8 @@ def smooth_curves(curves: CurveSet, spec: BasisSpec,
     return coef.T
 
 
-def extract_functional_priors(train: CurveSet, spec: BasisSpec, cfg: McdConfig,
-                              phi: float = 0.0, v: float = 0.0) -> list[FunctionalKnownPrior]:
+def extract_functional_priors(train: CurveSet, spec: BasisSpec,
+                              cfg: McdConfig) -> list[FunctionalKnownPrior]:
     """Robust per-class mean and noise curves from labeled training curves.
 
     Spline coefficients are treated as multivariate observations and go
@@ -227,9 +228,7 @@ def extract_functional_priors(train: CurveSet, spec: BasisSpec, cfg: McdConfig,
         mean_curve = Phi @ summ.mean
         resid = train.values[rows[summ.untrimmed]] - mean_curve
         noise = np.maximum(np.sum(resid ** 2, axis=0) / (rows.size - 1), _NOISE_FLOOR)
-        priors.append(FunctionalKnownPrior(
-            grid=train.grid, mean_curve=mean_curve, noise_curve=noise,
-            phi=phi, v=v))
+        priors.append(FunctionalKnownPrior(train.grid, mean_curve, noise))
     return priors
 
 
@@ -309,14 +308,15 @@ def _prior_novel_atom(rng, hyper: FunctionalHyper, Phi: np.ndarray) -> Functiona
 class CurveFamily:
     """Curve atoms for the shared Gibbs driver.
 
-    A known atom is a (mean curve, noise curve) pair: with phi > 0 the mean
-    is drawn given the previous noise curve, with v > 0 the noise is drawn
-    given the new mean, and each stays at its training estimate otherwise.
+    A known atom is a (mean curve, noise curve) pair: with ``hyper.phi > 0``
+    the mean is drawn given the previous noise curve, with ``hyper.v > 0``
+    the noise is drawn given the new mean, and each stays at its training
+    estimate otherwise.
     A novelty atom is a :class:`FunctionalNovelAtom`; an occupied slot
     updates its coefficients given the previous hierarchy and noise (a slot
     without one first draws it from the prior), an empty slot is a fresh
-    prior draw.  A frozen known class (phi = v = 0) has its log-likelihood
-    column computed once per fit, every other column in one stacked pass.
+    prior draw.  Frozen known atoms (phi = v = 0) have their log-likelihood
+    columns computed once per fit, every other column in one stacked pass.
     """
 
     def __init__(self, test: CurveSet, priors: list, hyper: FunctionalHyper):
@@ -324,11 +324,10 @@ class CurveFamily:
         self.priors = priors
         self.hyper = hyper
         self.Phi = bspline_basis(hyper.basis, test.grid)
-        frozen = [j for j, pr in enumerate(priors) if pr.phi == pr.v == 0]
-        self.live = [j for j in range(len(priors)) if j not in frozen]
-        self.frozen_cols = _curve_loglik(self.data, [priors[j].mean_curve for j in frozen],
-                                         [priors[j].noise_curve for j in frozen])
-        self.known_row = np.argsort(frozen + self.live)  # class j's row in [frozen; live]
+        self.frozen = hyper.phi == hyper.v == 0
+        frozen = priors if self.frozen else []
+        self.frozen_cols = _curve_loglik(self.data, [pr.mean_curve for pr in frozen],
+                                         [pr.noise_curve for pr in frozen])
 
     def initial_known(self) -> list:
         return [(pr.mean_curve.copy(), pr.noise_curve.copy()) for pr in self.priors]
@@ -340,16 +339,16 @@ class CurveFamily:
         return d2, self.data.shape[1]
 
     def draw_known(self, j: int, members: np.ndarray, prev, rng):
-        pr = self.priors[j]
+        pr, phi, v = self.priors[j], self.hyper.phi, self.hyper.v
         Y = self.data[members]
         f, s2 = pr.mean_curve, pr.noise_curve
-        if pr.phi > 0:
-            mean, var = known_mean_conditional(pr.mean_curve, pr.phi, Y.sum(axis=0),
+        if phi > 0:
+            mean, var = known_mean_conditional(pr.mean_curve, phi, Y.sum(axis=0),
                                                members.size, prev[1])
             f = mean + np.sqrt(var) * rng.standard_normal(f.size)
-        if pr.v > 0:
+        if v > 0:
             s2 = _sample_ig(rng, *sigma2_conditional(np.sum((Y - f) ** 2, axis=0), members.size,
-                                                     *pr.noise_ig_params()))
+                                                     *pr.noise_ig_params(v)))
         return f, s2
 
     def draw_novel(self, members: np.ndarray, prev, rng) -> FunctionalNovelAtom:
@@ -382,11 +381,10 @@ class CurveFamily:
         eligible cells in staircase order.  A row subset of the ``resid**2 @
         (1/sigma2)`` product is not bit-identical to those rows of the full
         product (the BLAS blocks the rows), so every column is computed in full."""
-        live = [known[j] for j in self.live] + [(at.curve, at.sigma2) for at in novel]
+        live = ([] if self.frozen else known) + [(at.curve, at.sigma2) for at in novel]
         rows = np.concatenate([self.frozen_cols, _curve_loglik(
             self.data, [f for f, _ in live], [s2 for _, s2 in live])])
-        row = np.concatenate([self.known_row, np.arange(len(known), len(rows))])
-        return rows[row[stair.col], stair.unit]
+        return rows[stair.col, stair.unit]
 
     def snapshot(self, known: list, novel: list) -> dict:
         return {"known": [{"mean_curve": f.tolist()} for f, _ in known],
@@ -398,11 +396,12 @@ def run_functional_chain(test: CurveSet, priors: list, hyper: FunctionalHyper,
     """Gibbs sampler for curves: the shared driver of
     :mod:`novelbayes.sampler` with :class:`CurveFamily` atoms.
 
-    Known atoms follow their training priors (frozen when phi = 0 resp.
-    v = 0); novelty atoms update coefficients, their hierarchy, and the
-    pointwise noise by conjugacy.  Curves start at their closest known class
-    unless their standardized residual exceeds the 99.9% chi-square quantile
-    with one degree per grid point.  Deterministic given ``hyper.seed``.
+    Known atoms follow their training priors (frozen when ``hyper.phi``
+    resp. ``hyper.v`` is 0); novelty atoms update coefficients, their
+    hierarchy, and the pointwise noise by conjugacy.  Curves start at their
+    closest known class unless their standardized residual exceeds the 99.9%
+    chi-square quantile with one degree per grid point.  Deterministic given
+    ``hyper.seed``.
     """
     if len(priors) != hyper.n_known:
         raise DimensionMismatch("number of priors must equal n_known")

@@ -9,13 +9,15 @@ every integer label column, those that ``metrics`` scores too.  A
 functional fit's novelty cluster means are a curve file led by a cluster
 column.  Chain traces go to a directory as flat little-endian binaries (or
 CSV on request) described by a JSON metadata file, so nothing here is
-Python-specific.
+Python-specific; one reader reads every trace back, a binary one by row
+slices once its size matches the metadata.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 import urllib.request
 from pathlib import Path
@@ -180,17 +182,6 @@ def _write_array(directory: Path, name: str, blocks, dtype: np.dtype, shape: tup
             "format": fmt}
 
 
-def _read_array(directory: Path, entry: dict) -> np.ndarray:
-    path, dtype, shape = directory / entry["file"], np.dtype(entry["dtype"]), entry["shape"]
-    if entry["format"] == "bin":
-        return np.fromfile(path, dtype=dtype).reshape(shape)
-    if 0 in shape:  # no data to parse, and loadtxt warns about that
-        if not path.is_file():
-            raise FileNotFoundError(f"{path} not found.")  # what loadtxt raises
-        return np.empty(shape, dtype=dtype)
-    return np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2).reshape(shape)
-
-
 def save_chain(output: ChainOutput, directory, fmt: str = "bin"):
     """Persist traces plus a metadata JSON describing every array."""
     directory = Path(directory)
@@ -213,24 +204,27 @@ def save_chain(output: ChainOutput, directory, fmt: str = "bin"):
     (directory / "metadata.json").write_text(json.dumps(meta, indent=1, sort_keys=True))
 
 
-def _trace_rows(directory: Path, entry: dict):
-    """A reader of row slices of a stored label trace, as int32: a binary
-    trace is read from its file one slice at a time, a CSV trace whole."""
-    path, dtype, shape = directory / entry["file"], np.dtype(entry["dtype"]), entry["shape"]
+def _trace_reader(directory: Path, entry: dict):
+    """A reader of row slices of a stored trace: a binary trace is checked
+    to have the size its metadata gives and is read from its file one slice
+    at a time, a CSV trace is read whole."""
+    path, dtype, shape = directory / entry["file"], np.dtype(entry["dtype"]), tuple(entry["shape"])
     if entry["format"] != "bin":
-        trace = _read_array(directory, entry)
-        return lambda rows: trace[rows].astype(np.int32, copy=False)
-    n_rows, width = shape
+        if 0 not in shape:
+            return np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2).reshape(shape).__getitem__
+        if not path.is_file():  # no data to parse, and loadtxt warns about that
+            raise FileNotFoundError(f"{path} not found.")  # what loadtxt raises
+        return np.empty(shape, dtype=dtype).__getitem__
+    row = math.prod(shape[1:])
     size = path.stat().st_size  # a missing file fails here, as a whole read would
-    if size != n_rows * width * dtype.itemsize:
-        raise ParseError(f"{path}: {size} bytes, not the {n_rows * width * dtype.itemsize} "
-                         f"of a {dtype.str} trace of shape {tuple(shape)}")
+    if size != shape[0] * row * dtype.itemsize:
+        raise ParseError(f"{path}: {size} bytes, not the {shape[0] * row * dtype.itemsize} "
+                         f"of a {dtype.str} trace of shape {shape}")
 
     def rows(block: slice) -> np.ndarray:
-        lo, hi = block.start, min(block.stop, n_rows)
-        data = np.fromfile(path, dtype=dtype, count=(hi - lo) * width,
-                           offset=lo * width * dtype.itemsize)
-        return data.reshape(hi - lo, width).astype(np.int32, copy=False)
+        lo, hi, _ = block.indices(shape[0])
+        return np.fromfile(path, dtype=dtype, count=(hi - lo) * row,
+                           offset=lo * row * dtype.itemsize).reshape((hi - lo,) + shape[1:])
 
     return rows
 
@@ -239,21 +233,23 @@ def load_chain(directory) -> ChainOutput:
     directory = Path(directory)
     meta = json.loads((directory / "metadata.json").read_text())
     try:
-        arrays = {name: (_trace_rows if name == "beta_trace" else _read_array)(
-            directory, meta["arrays"][name]) for name in _TRACE_ARRAYS}
+        entries = {name: meta["arrays"][name] for name in _TRACE_ARRAYS}
+        readers = {name: _trace_reader(directory, entry) for name, entry in entries.items()}
         n_known, seed, run_meta = meta["n_known"], meta["seed"], meta["meta"]
     except KeyError as exc:
         raise ParseError(f"{directory / 'metadata.json'}: missing key {exc}") from exc
-    alpha, beta_rows = arrays.pop("alpha_trace"), arrays.pop("beta_trace")
-    beta = meta["arrays"]["beta_trace"]
-    for name, dtype in (("alpha_trace", alpha.dtype), ("beta_trace", np.dtype(beta["dtype"]))):
+    for name in _LABELS_OF:
+        dtype = np.dtype(entries[name]["dtype"])
         if dtype.kind not in "iu":
             raise ParseError(f"{directory / 'metadata.json'}: {name} has dtype "
                              f"{dtype.str}, not an integer type")
+    arrays = {name: readers[name](slice(None)) for name in _TRACE_ARRAYS if name not in _LABELS_OF}
     # zeta overwrites the alpha buffer and beta is read in row blocks, so
     # only one full label trace is ever held
-    zeta = _zeta_from_labels(alpha.astype(np.int32, copy=False), beta_rows, beta["shape"],
-                             n_known)
+    alpha, beta = readers["alpha_trace"], readers["beta_trace"]
+    zeta = _zeta_from_labels(alpha(slice(None)).astype(np.int32, copy=False),
+                             lambda rows: beta(rows).astype(np.int32, copy=False),
+                             entries["beta_trace"]["shape"], n_known)
     snapshots = None
     if "atoms" in meta:
         snapshots = json.loads((directory / meta["atoms"]).read_text())

@@ -1,8 +1,9 @@
 """Core probability model: hyperparameters, stick breaking, the deterministic
-slice sequence with its truncation rule, the membership-index mapping, the
-one check of a data block's rows, Gaussian primitives (with the squared
-Mahalanobis distances under a stack of (mean, cov) pairs), the two
-chi-square values, and closed-form prior moments of the mixing measure.
+slice sequence with its truncation rule, the (known class, novelty cluster)
+labels of a membership index, the one check of a data block's rows,
+Gaussian primitives (the squared Mahalanobis distances under a stack of
+(mean, cov) pairs and the row-wise densities of a block of row runs), the
+two chi-square values, and closed-form prior moments of the mixing measure.
 
 Everything in this module is a pure function of its inputs; the sampler owns
 all mutable state.  This module is the package's only door to scipy: its
@@ -229,21 +230,6 @@ def stick_breaking(v: np.ndarray) -> np.ndarray:
     return v * np.exp(log_remain)
 
 
-def zeta_to_alpha_beta(zeta, n_known: int):
-    """Map the flat membership index to the (known, novel) label pair.
-
-    zeta <= J identifies known class alpha = zeta (beta = 0); zeta > J
-    identifies novelty cluster beta = zeta - J (alpha = 0), in zeta's dtype.
-    """
-    zeta = np.asarray(zeta)
-    if np.any(zeta < 1):
-        raise ValueError("zeta indices are 1-based")
-    alpha, beta = _alpha_of(zeta, n_known), _beta_of(zeta, n_known)
-    if zeta.ndim == 0:
-        return int(alpha), int(beta)
-    return alpha, beta
-
-
 def _alpha_of(zeta: np.ndarray, n_known: int) -> np.ndarray:
     """Known-class label of each 1-based membership index (0 = novelty)."""
     return np.where(zeta > n_known, 0, zeta)
@@ -253,18 +239,6 @@ def _beta_of(zeta: np.ndarray, n_known: int) -> np.ndarray:
     """Novelty-cluster label of each 1-based membership index (0 = known)."""
     beta = np.asarray(zeta - n_known)  # one array, clipped in place
     return np.maximum(beta, 0, out=beta)
-
-
-def alpha_beta_to_zeta(alpha, beta, n_known: int):
-    """Inverse of :func:`zeta_to_alpha_beta`, in the dtype of alpha and beta."""
-    alpha = np.asarray(alpha)
-    beta = np.asarray(beta)
-    if np.any((alpha > 0) == (beta > 0)):
-        raise ValueError("exactly one of alpha, beta must be positive")
-    zeta = np.where(alpha > 0, alpha, beta + n_known)
-    if alpha.ndim == 0:
-        return int(zeta)
-    return zeta
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +337,6 @@ def _block_distances(D: np.ndarray, factors, sizes) -> np.ndarray:
             _solve_triangular(L, Z[:, lo:lo + n], overwrite=True)
         lo += n
     return np.multiply(Z, Z, out=Z).sum(axis=0)
-
-
-def log_gaussian_density(x: np.ndarray, atom: GaussianAtom) -> float:
-    """log N(x; mean, cov) for one point: the one-row case of
-    :func:`log_gaussian_density_many`."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    return float(log_gaussian_density_many(x, np.asarray_chkfinite(atom.mean)[None],
-                                           _chol(atom.cov)[None], [1])[0])
 
 
 def log_gaussian_density_many(X: np.ndarray, means: np.ndarray, chols: np.ndarray,

@@ -102,8 +102,8 @@ def candidate_partitions(zeta_trace: np.ndarray, n_known: int,
     (zeta <= J) it forms its own singleton, so every candidate partitions the
     whole selected set.  Clusters are numbered 1, 2, ... by first appearance
     along the units, and candidates come in the order the chain first
-    visited them.  Each candidate is a read-only int64 view of the bytes
-    that deduplicate it, so the list holds every partition once.
+    visited them.  Each candidate is a read-only int32 view (zeta's dtype)
+    of the bytes that deduplicate it, so the list holds every partition once.
     """
     units = np.asarray(novelty_units, dtype=int)
     singletons = -np.arange(units.size)  # distinct ids no novelty label takes
@@ -112,10 +112,10 @@ def candidate_partitions(zeta_trace: np.ndarray, n_known: int,
         row = row[units]
         row = np.where(row > n_known, row, singletons)
         _, first, inverse = np.unique(row, return_index=True, return_inverse=True)
-        rank = np.empty(first.size, dtype=int)
+        rank = np.empty(first.size, dtype=np.int32)
         rank[np.argsort(first)] = np.arange(1, first.size + 1)
         seen.setdefault(rank[inverse].tobytes())
-    return [np.frombuffer(key, dtype=int) for key in seen]
+    return [np.frombuffer(key, dtype=np.int32) for key in seen]
 
 
 def vi_score(ppcm: np.ndarray, partition: np.ndarray) -> float:

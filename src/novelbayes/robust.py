@@ -47,9 +47,8 @@ class LabeledDataset:
             raise ValueError("labels length must match number of rows")
         if self.labels.min(initial=1) < 1:
             raise ValueError("labels must be 1-based class indices")
-        J = int(self.labels.max())
-        present = np.unique(self.labels)
-        if not np.array_equal(present, np.arange(1, J + 1)):
+        J = int(self.labels.max(initial=0))
+        if J < 1 or not np.array_equal(np.unique(self.labels), np.arange(1, J + 1)):
             raise ValueError("labels must cover every class 1..J")
         sizes = np.bincount(self.labels, minlength=J + 1)[1:]
         if np.any(sizes < 2):
@@ -388,16 +387,15 @@ def _mrcd_c_steps(X, starts, h, rho, c0, max_csteps):
 
 
 def mrcd(data: np.ndarray, cfg: McdConfig,
-         target: Optional[np.ndarray] = None,
          rng: Optional[np.random.Generator] = None) -> RobustClassSummary:
     """Minimum regularized covariance determinant estimate.
 
     The scatter is rho * target + (1 - rho) * c0 * (subset covariance), with
-    the h-subset chosen to minimize its determinant.  The search runs in the
-    coordinates whitened by the target (default: diagonal of the full-sample
-    covariance), where the target becomes the identity; rho is the smallest
-    ``_RHO_GRID`` value whose regularized scatter stays below ``_MAX_CONDITION``
-    in condition number, bumped upward if the optimized subset violates the
+    the h-subset chosen to minimize its determinant.  The target is the
+    diagonal of the full-sample covariance, and the search runs in the
+    coordinates it whitens to the identity; rho is the smallest ``_RHO_GRID``
+    value whose regularized scatter stays below ``_MAX_CONDITION`` in
+    condition number, bumped upward if the optimized subset violates the
     bound.  Applicable whenever n >= 2, including p >= h.
     """
     X = _checked_rows(data, "data contains non-finite entries")
@@ -408,16 +406,11 @@ def mrcd(data: np.ndarray, cfg: McdConfig,
         raise DegenerateData("all observations identical")
     h = max(int(np.floor(cfg.eta * n)), 2)
 
-    if target is None:
-        var = X.var(axis=0, ddof=1)
-        # (near-)constant columns carry no scale information
-        var[var <= 1e-18 * max(var.max(), 1.0)] = 1.0
-        target = np.diag(var)
-    else:
-        target = np.asarray(target, dtype=float)
-
+    var = X.var(axis=0, ddof=1)
+    # (near-)constant columns carry no scale information
+    var[var <= 1e-18 * max(var.max(), 1.0)] = 1.0
     # whiten so the target is the identity
-    C = _chol(target)
+    C = _chol(np.diag(var))
     Xw = _solve_triangular(C, X.T).T
 
     c0 = consistency_factor(cfg.eta, p)

@@ -60,7 +60,6 @@ from .model import (
     _chol,
     _solve_triangular,
     _sq_distances,
-    alpha_beta_to_zeta,
     log_gaussian_density_many,
     stick_breaking,
     truncation_level,
@@ -107,29 +106,28 @@ class ChainState:
 
 def _zeta_from_labels(alpha: np.ndarray, beta_rows, beta_shape, n_known: int) -> np.ndarray:
     """Check an (alpha, beta) trace pair and overwrite ``alpha`` with its
-    zeta trace.  ``beta_rows(rows)`` returns a slice of rows of the beta
-    trace (of shape ``beta_shape``) as int32, so beta is read and converted
-    one row block at a time, which keeps it and the temporaries small next
-    to the traces.  A check fails with its message over the whole trace:
-    the alpha range, then the beta range, then exclusivity."""
+    zeta trace: alpha where it is positive, beta + n_known where beta is.
+    ``beta_rows(rows)`` returns a slice of rows of the beta trace (of shape
+    ``beta_shape``) as int32, so beta is read and converted one row block
+    at a time, which keeps it and the temporaries small next to the traces.
+    A check fails with its message over the whole trace: the alpha range,
+    then the beta range, then exclusivity (exactly one label positive)."""
     if alpha.shape != tuple(beta_shape):
         raise DimensionMismatch("alpha and beta traces must align")
     if alpha.size and not 0 <= alpha.min() <= alpha.max() <= n_known:
         raise ValueError(f"alpha trace labels span [{alpha.min()}, {alpha.max()}], "
                          f"outside [0, {n_known}] (n_known)")
-    lowest, mixed = 0, None
+    lowest, mixed = 0, False
     for lo in range(0, alpha.shape[0], _CHECK_ROWS):
         rows = slice(lo, lo + _CHECK_ROWS)
-        beta = beta_rows(rows)
+        known, beta = alpha[rows], beta_rows(rows)
         lowest = min(lowest, beta.min(initial=0))
-        try:
-            alpha[rows] = alpha_beta_to_zeta(alpha[rows], beta, n_known)
-        except ValueError as exc:
-            mixed = mixed or exc
+        mixed = mixed or bool(np.any((known > 0) == (beta > 0)))
+        alpha[rows] = np.where(known > 0, known, beta + n_known)
     if lowest < 0:
         raise ValueError(f"beta trace labels reach {lowest}, below 0")
     if mixed:
-        raise mixed
+        raise ValueError("exactly one of alpha, beta must be positive")
     return alpha
 
 

@@ -231,14 +231,21 @@ class TestErrorPaths:
         assert "eta" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_functional_negative_phi_stops_before_output_directory(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", ["--phi", "--v"])
+    def test_functional_negative_phi_stops_before_output_directory(self, tmp_path, capsys,
+                                                                   monkeypatch, flag):
+        """phi and v are chain settings, checked before Stage I runs."""
+        def stage_one(*args, **kwargs):
+            raise AssertionError("Stage I ran before the chain settings were checked")
+
+        monkeypatch.setattr(cli, "extract_functional_priors", stage_one)
         _write_curve_files(tmp_path)
         out = tmp_path / "fphi"
         code = run_cli("fit-functional", "--train", str(tmp_path / "train.csv"),
                        "--test", str(tmp_path / "test.csv"), "--outdir", str(out),
-                       "--n-basis", "8", "--order", "3", "--phi", "-1")
+                       "--n-basis", "8", "--order", "3", flag, "-1")
         assert code == 2
-        assert "phi" in capsys.readouterr().err
+        assert "phi and v must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command,line,key", [

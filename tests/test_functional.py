@@ -178,15 +178,16 @@ class TestCurveSet:
             CurveSet(grid, values, [1, 1, 1, -1])
         with pytest.raises(ValueError, match="every class needs at least two observations"):
             CurveSet(grid, values, [1, 1, 1, 2])
+        with pytest.raises(ValueError, match="labels must cover every class 1..J"):
+            CurveSet(grid, np.empty((0, 5)), [])
         assert CurveSet(grid, values, [2, 1, 2, 1]).labels.tolist() == [2, 1, 2, 1]
 
 
 class TestIgParameterization:
     def test_hand_example(self):
         prior = FunctionalKnownPrior(
-            grid=np.array([0.0]), mean_curve=np.array([0.0]),
-            noise_curve=np.array([2.0]), v=0.5)
-        a, b = prior.noise_ig_params()
+            grid=np.array([0.0]), mean_curve=np.array([0.0]), noise_curve=np.array([2.0]))
+        a, b = prior.noise_ig_params(0.5)
         assert a[0] == pytest.approx(10.0)
         assert b[0] == pytest.approx(18.0)
         # IG(10, 18): mean 2, variance 0.5
@@ -199,9 +200,8 @@ class TestIgParameterization:
             sbar = float(rng.uniform(0.1, 5.0))
             v = float(rng.uniform(0.05, 3.0))
             prior = FunctionalKnownPrior(
-                grid=np.array([0.0]), mean_curve=np.array([0.0]),
-                noise_curve=np.array([sbar]), v=v)
-            a, b = prior.noise_ig_params()
+                grid=np.array([0.0]), mean_curve=np.array([0.0]), noise_curve=np.array([sbar]))
+            a, b = prior.noise_ig_params(v)
             mean = b / (a - 1)
             var = b ** 2 / ((a - 1) ** 2 * (a - 2))
             assert mean[0] == pytest.approx(sbar, rel=1e-10)
@@ -391,20 +391,21 @@ class TestStackedCurveLoglik:
         for k in range(K):
             assert np.array_equal(got[k], oracles.curve_column(Y, F[k], S[k]))
 
+    @pytest.mark.parametrize("phi, v", [(0, 0), (0.05, 0), (0, 0.01), (0.05, 0.01)])
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_family_mixes_frozen_and_live_known_columns(self, order):
+    def test_family_freezes_every_known_column_or_none(self, order, phi, v):
+        """phi = v = 0 freezes all known columns at the training priors;
+        otherwise every known column follows the atoms the scan passes."""
         rng = np.random.default_rng(31)
         grid = np.linspace(0, 1, 23)
         spec = BasisSpec(n_basis=7, order=3)
         test = CurveSet(grid, np.asarray(rng.normal(size=(40, 23)), order=order))
-        # frozen, phi only, frozen, v only, both
-        priors = [FunctionalKnownPrior(grid, rng.normal(size=23), rng.gamma(2.0, size=23),
-                                       phi=phi, v=v)
-                  for phi, v in [(0, 0), (0.05, 0), (0, 0), (0, 0.01), (0.05, 0.01)]]
-        hyper = FunctionalHyper(a=np.ones(6), basis=spec)
+        priors = [FunctionalKnownPrior(grid, rng.normal(size=23), rng.gamma(2.0, size=23))
+                  for _ in range(5)]
+        hyper = FunctionalHyper(a=np.ones(6), basis=spec, phi=phi, v=v)
         family = functional.CurveFamily(test, priors, hyper)
-        known = [(f, s2) if pr.phi == pr.v == 0 else (f + 0.1, 2.0 * s2)
-                 for pr, (f, s2) in zip(priors, family.initial_known())]
+        frozen = phi == v == 0
+        known = [(f, s2) if frozen else (f + 0.1, 2.0 * s2) for f, s2 in family.initial_known()]
         novel = [functional._prior_novel_atom(rng, hyper, family.Phi) for _ in range(4)]
         u, xi = rng.random(40) * 0.6, np.sort(rng.random(9))[::-1]
         got = oracles.staircase_to_dense(family.loglik(known, novel, _staircase(u, xi)), u, xi)

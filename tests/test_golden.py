@@ -115,10 +115,9 @@ def _curves_frozen():
 
 def _curves_transductive():
     train, test, spec = _curve_problem()
-    priors = extract_functional_priors(train, spec, McdConfig(eta=0.75, n_starts=20, seed=202),
-                                       phi=0.05, v=0.01)
+    priors = extract_functional_priors(train, spec, McdConfig(eta=0.75, n_starts=20, seed=202))
     hyper = FunctionalHyper(a=np.array([0.1, 1.0, 1.0]), n_iter=60, n_burnin=30,
-                            seed=204, basis=spec, atom_thin=7)
+                            seed=204, basis=spec, atom_thin=7, phi=0.05, v=0.01)
     return run_functional_chain(test, priors, hyper, record_atoms=True)
 
 

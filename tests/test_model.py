@@ -14,14 +14,14 @@ from novelbayes.model import (
     Hyperparameters,
     NIWParams,
     PriorMoments,
+    _alpha_of,
+    _beta_of,
     _chi2_cdf,
     _chi2_ppf,
     _cho_solve,
     _chol,
     _solve_triangular,
     _sq_distances,
-    alpha_beta_to_zeta,
-    log_gaussian_density,
     log_gaussian_density_many,
     prior_covariance,
     prior_mean,
@@ -31,8 +31,8 @@ from novelbayes.model import (
     truncation_level,
     xi_sequence,
     xi_values,
-    zeta_to_alpha_beta,
 )
+from novelbayes.sampler import ChainOutput
 
 import oracles
 
@@ -123,44 +123,53 @@ class TestStickBreaking:
         assert np.mean(totals) == pytest.approx(1.0, abs=1e-3)
 
 
+def _from_labels(alpha, beta, J):
+    """The zeta trace of a one-scan (alpha, beta) pair, through ChainOutput."""
+    return ChainOutput(alpha_trace=alpha[None], beta_trace=beta[None], pi_trace=np.ones((1, 1)),
+                       gamma_trace=np.ones(1), n_active_trace=np.ones(1), n_known=J,
+                       seed=0).zeta_trace[0]
+
+
 class TestMembershipMapping:
-    def test_known_side(self):
-        assert zeta_to_alpha_beta(2, 3) == (2, 0)
-
-    def test_novel_side(self):
-        assert zeta_to_alpha_beta(5, 3) == (0, 2)
-
     @pytest.mark.parametrize("J", [1, 2, 5, 10])
     def test_round_trip(self, J):
         zeta = np.arange(1, 10001)
-        alpha, beta = zeta_to_alpha_beta(zeta, J)
+        alpha, beta = _alpha_of(zeta, J), _beta_of(zeta, J)
         assert np.all((alpha > 0) != (beta > 0))
-        assert np.array_equal(alpha_beta_to_zeta(alpha, beta, J), zeta)
+        assert np.array_equal(_from_labels(alpha, beta, J), zeta)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 6), st.lists(st.integers(1, 40), max_size=60))
     def test_round_trip_property(self, J, labels):
         zeta = np.array(labels, dtype=int)
-        alpha, beta = zeta_to_alpha_beta(zeta, J)
+        alpha, beta = _alpha_of(zeta, J), _beta_of(zeta, J)
         assert np.all((alpha > 0) != (beta > 0))
         assert np.array_equal(alpha[alpha > 0], zeta[zeta <= J])
         assert np.array_equal(beta[beta > 0], zeta[zeta > J] - J)
-        assert np.array_equal(alpha_beta_to_zeta(alpha, beta, J), zeta)
+        assert np.array_equal(_from_labels(alpha, beta, J), zeta)
 
     def test_exclusivity_rejected(self):
-        with pytest.raises(ValueError):
-            alpha_beta_to_zeta(np.array([1]), np.array([1]), 3)
+        with pytest.raises(ValueError, match="exactly one of alpha, beta must be positive"):
+            _from_labels(np.array([1]), np.array([1]), 3)
+
+
+def _log_density(x, atom):
+    """log N(x; mean, cov) of one point: a one-row run of
+    log_gaussian_density_many under the atom's checked factor."""
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    return float(log_gaussian_density_many(x, np.asarray_chkfinite(atom.mean)[None],
+                                           _chol(atom.cov)[None], [1])[0])
 
 
 class TestLogGaussian:
     def test_standard_normal_mode(self):
         atom = GaussianAtom(np.zeros(1), np.eye(1))
-        assert log_gaussian_density(np.zeros(1), atom) == pytest.approx(
+        assert _log_density(np.zeros(1), atom) == pytest.approx(
             -0.5 * math.log(2 * math.pi), abs=1e-12)
 
     def test_bivariate_identity(self):
         atom = GaussianAtom(np.zeros(2), np.eye(2))
-        assert log_gaussian_density(np.array([1.0, 1.0]), atom) == pytest.approx(
+        assert _log_density(np.array([1.0, 1.0]), atom) == pytest.approx(
             -math.log(2 * math.pi) - 1.0, abs=1e-12)
 
     def test_extended_precision_oracle(self):
@@ -174,7 +183,8 @@ class TestLogGaussian:
             cov = A @ A.T + p * np.eye(p)
             mean = rng.normal(size=p)
             x = rng.normal(size=p)
-            got = log_gaussian_density(x, GaussianAtom(mean, cov))
+            got = log_gaussian_density_many(x[None], mean[None], np.linalg.cholesky(cov)[None],
+                                            [1])[0]
             mcov = mp.matrix(cov.tolist())
             dev = mp.matrix((x - mean).tolist())
             quad = (dev.T * (mcov ** -1) * dev)[0, 0]
@@ -187,7 +197,7 @@ class TestLogGaussian:
         mean = np.array([1.0, -1.0])
         X = rng.normal(size=(20, 2))
         batch = log_gaussian_density_many(X, mean[None], np.linalg.cholesky(cov)[None], [20])
-        single = [log_gaussian_density(x, GaussianAtom(mean, cov)) for x in X]
+        single = [_log_density(x, GaussianAtom(mean, cov)) for x in X]
         assert batch == pytest.approx(single, rel=1e-13)
 
     @pytest.mark.parametrize("p", [1, 2, 8, 9, 12])
@@ -227,7 +237,7 @@ class TestLogGaussian:
 
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefinite):
-            log_gaussian_density(np.zeros(2), GaussianAtom(np.zeros(2), -np.eye(2)))
+            _log_density(np.zeros(2), GaussianAtom(np.zeros(2), -np.eye(2)))
 
 
 def _outcome(fn):
@@ -316,7 +326,7 @@ class TestSolveLower:
         L = np.linalg.cholesky(cov)  # numpy passes the NaN or inf through
         want = _outcome(lambda: solve_triangular(L, np.ones((2, 3)), lower=True))
         atom = GaussianAtom(np.zeros(2), cov)
-        assert _outcome(lambda: log_gaussian_density(np.ones(2), atom)) == want
+        assert _outcome(lambda: _log_density(np.ones(2), atom)) == want
         assert _outcome(lambda: _chol(np.stack([np.eye(2), cov]))) == want
 
 
@@ -357,6 +367,12 @@ class TestChainSettings:
     def test_functional_fixed_gamma_must_be_positive(self, gamma):
         with pytest.raises(ValueError, match="gamma"):
             _settings(FunctionalHyper, gamma=gamma)
+
+    @pytest.mark.parametrize("field", ["phi", "v"])
+    def test_functional_known_prior_variances_must_be_non_negative(self, field):
+        with pytest.raises(ValueError, match="phi and v must be non-negative"):
+            _settings(FunctionalHyper, **{field: -1e-9})
+        assert getattr(_settings(FunctionalHyper, **{field: 0.0}), field) == 0.0
 
     @pytest.mark.parametrize("cls", [Hyperparameters, FunctionalHyper])
     def test_negative_burnin_rejected(self, cls):

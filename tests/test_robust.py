@@ -115,12 +115,15 @@ class TestMrcd:
         X = rng.normal(size=(10, 2))
         X[3] = (25.0, -30.0)
         cfg = McdConfig(eta=0.8, n_starts=100, seed=6)
-        s = mrcd(X, cfg, target=np.eye(2))
+        s = mrcd(X, cfg)
         assert 3 not in s.untrimmed
+        # the target is the diagonal of the sample variances, and the oracle's
+        # determinant is taken in the coordinates that target whitens
+        var = X.var(axis=0, ddof=1)
         idx, det = oracles.exhaustive_mrcd(
-            X, 8, s.rho, consistency_factor(0.8, 2), np.eye(2))
+            X, 8, s.rho, consistency_factor(0.8, 2), np.diag(var))
         assert np.array_equal(s.untrimmed, idx)
-        assert s.determinant == pytest.approx(det, rel=1e-8)
+        assert s.determinant == pytest.approx(det * np.prod(var), rel=1e-8)
 
     def test_high_dimensional_spd(self):
         rng = np.random.default_rng(6)
@@ -369,6 +372,9 @@ class TestLabeledDataset:
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError):
             LabeledDataset(np.zeros((4, 1)), [1, 1, 3, 3])
+        # no rows at all means no class 1: the rule's message, not numpy's
+        with pytest.raises(ValueError, match="labels must cover every class 1..J"):
+            LabeledDataset(np.empty((0, 2)), [])
 
     def test_tiny_class_rejected(self):
         with pytest.raises(ValueError):

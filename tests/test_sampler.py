@@ -14,8 +14,9 @@ from novelbayes.model import (
     GaussianAtom,
     Hyperparameters,
     NIWParams,
+    _alpha_of,
+    _beta_of,
     xi_values,
-    zeta_to_alpha_beta,
 )
 from novelbayes.robust import RobustClassSummary
 from novelbayes.sampler import (
@@ -553,7 +554,7 @@ class TestGibbsStep:
             assert np.all((zeta >= 1) & (zeta <= state.L_star))
             xi = xi_values(hp.kappa, 1, int(zeta.max()))
             assert np.all(state.u < xi[zeta - 1])
-            alpha, beta = zeta_to_alpha_beta(zeta, 1)
+            alpha, beta = _alpha_of(zeta, 1), _beta_of(zeta, 1)
             assert np.all((alpha > 0) != (beta > 0))
             assert state.L_star >= 2
             assert abs(state.pi.sum() - 1.0) < 1e-10

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from novelbayes import io as nio
 from novelbayes.errors import ParseError
 from novelbayes.functional import CurveSet
-from novelbayes.model import zeta_to_alpha_beta
+from novelbayes.model import _alpha_of, _beta_of
 from novelbayes.robust import LabeledDataset, McdConfig, extract_class_priors
 from novelbayes.sampler import _CHECK_ROWS, ChainOutput
 from novelbayes.simulate import (
@@ -166,7 +166,7 @@ class TestSummariesAndChains:
 def test_zeta_and_label_traces_agree(n_known, n_scans, n_units, seed):
     rng = np.random.default_rng(seed)
     zeta = rng.integers(1, n_known + 6, size=(n_scans, n_units)).astype(np.int32)
-    alpha, beta = zeta_to_alpha_beta(zeta, n_known)
+    alpha, beta = _alpha_of(zeta, n_known), _beta_of(zeta, n_known)
     rest = dict(pi_trace=rng.dirichlet(np.ones(n_known + 1), size=n_scans),
                 gamma_trace=np.ones(n_scans), n_active_trace=np.full(n_scans, n_known + 5),
                 n_known=n_known, seed=seed)
@@ -253,16 +253,19 @@ def test_beta_range_error_comes_before_an_earlier_exclusivity_error(tmp_path):
 
 
 @pytest.mark.parametrize("extra_rows", [1, -1])
-def test_beta_file_of_another_shape_is_a_parse_error(tmp_path, extra_rows):
-    """A beta_trace.bin with more or fewer rows than its metadata says (say,
-    from a longer chain) is rejected, as a whole-file read rejects it."""
-    n_scans, n_units = _CHECK_ROWS + 5, 3
-    out = _saved_labels(tmp_path, n_scans, n_units)
-    beta = out.beta_trace
-    rows = np.concatenate([beta, beta[:1]]) if extra_rows > 0 else beta[:-1]
-    rows.astype("<i4").tofile(tmp_path / "beta_trace.bin")
-    with pytest.raises(ParseError, match="beta_trace.bin: .* bytes, not the "
-                                         f"{4 * n_scans * n_units} of a <i4 trace"):
+@pytest.mark.parametrize("name", ["alpha_trace", "beta_trace", "pi_trace", "gamma_trace",
+                                  "n_active_trace"])
+def test_beta_file_of_another_shape_is_a_parse_error(tmp_path, name, extra_rows):
+    """A binary trace file with more or fewer rows than its metadata says
+    (say, from a longer chain) is rejected before it is read."""
+    _saved_labels(tmp_path, _CHECK_ROWS + 5, 3)
+    entry = json.loads((tmp_path / "metadata.json").read_text())["arrays"][name]
+    dtype, shape = np.dtype(entry["dtype"]), entry["shape"]
+    whole = np.fromfile(tmp_path / entry["file"], dtype=dtype).reshape(shape)
+    rows = np.concatenate([whole, whole[:1]]) if extra_rows > 0 else whole[:-1]
+    rows.tofile(tmp_path / entry["file"])
+    with pytest.raises(ParseError, match=f"{name}.bin: .* bytes, not the "
+                                         f"{whole.nbytes} of a {dtype.str} trace"):
         nio.load_chain(tmp_path)
 
 
