@@ -48,7 +48,6 @@ _OPTIONS = {
     "seed": _Option(int, help="root seed for the whole run"),
     "outdir": _Option(help="output directory"),
     "scenario": _Option(choices=("notsmall", "small")),
-    "trace-format": _Option(choices=nio.TRACE_FORMATS),
     "label-noise": _Option(_flag),
     "header": _Option(_flag),
     **dict.fromkeys(("train", "test", "out", "m0", "chain-dir", "labels", "truth",
@@ -159,13 +158,12 @@ def _fit_common(cfg, run, seed: int) -> Path:
     output, the summary and a writer of the command's own files.  The
     directory is made only after it returns, so a failed fit leaves none.
     """
-    fmt = _given(cfg, fmt="trace-format")  # checked before Stage I starts
     t0 = time.perf_counter()
     output, summary, write_own = run()
     outdir = Path(cfg.get("outdir", "run"))
     outdir.mkdir(parents=True, exist_ok=True)
     write_own(outdir)
-    nio.save_chain(output, outdir / "traces", **fmt)
+    nio.save_chain(output, outdir / "traces")
     nio.save_summary(summary, outdir / "summary")
     nio.write_manifest(outdir, {k: str(v) for k, v in cfg.items()}, seed,
                        {"train": cfg["train"], "test": cfg["test"]},
@@ -267,7 +265,7 @@ class _Command(NamedTuple):
 
 
 _FIT_OPTIONS = ("train", "test", "eta", "n-starts", "a0", "kappa", "n-iter", "n-burnin",
-                "gamma-fixed", "ppn-threshold", "min-size", "trace-format")
+                "gamma-fixed", "ppn-threshold", "min-size")
 
 _COMMANDS = {
     "simulate": _Command(_cmd_simulate, "generate the synthetic benchmark",

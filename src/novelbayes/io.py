@@ -7,10 +7,10 @@ add a trailing integer label column, whose classes the dataset types check
 (1..J, at least two rows or curves each).  ``load_labels`` reads and checks
 every integer label column, those that ``metrics`` scores too.  A
 functional fit's novelty cluster means are a curve file led by a cluster
-column.  Chain traces go to a directory as flat little-endian binaries (or
-CSV on request) described by a JSON metadata file, so nothing here is
-Python-specific; one reader reads every trace back, a binary one by row
-slices once its size matches the metadata.
+column.  Chain traces go to a directory as flat little-endian binaries
+described by a JSON metadata file, so nothing here is Python-specific; one
+reader reads every trace back by row slices once its metadata entry and
+its file's size check out.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import time
 import urllib.request
 from pathlib import Path
@@ -32,7 +33,6 @@ from .model import _alpha_of, _beta_of
 from .sampler import _CHECK_ROWS, ChainOutput, TestDataset, _zeta_from_labels
 
 FORMAT_VERSION = 1
-TRACE_FORMATS = ("bin", "csv")  # flat little-endian binary, or CSV
 _TRACE_ARRAYS = ("alpha_trace", "beta_trace", "pi_trace", "gamma_trace", "n_active_trace")
 _LABELS_OF = {"alpha_trace": _alpha_of, "beta_trace": _beta_of}
 
@@ -164,25 +164,18 @@ def summaries_to_json(summaries: list, path):
 # chain persistence
 # ---------------------------------------------------------------------------
 
-def _write_array(directory: Path, name: str, blocks, dtype: np.dtype, shape: tuple,
-                 fmt: str) -> dict:
+def _write_array(directory: Path, name: str, blocks, dtype: np.dtype, shape: tuple) -> dict:
     """Write an array of ``dtype`` and ``shape`` given as its consecutive row
     blocks; the file has the bytes of a whole-array write."""
-    if fmt not in TRACE_FORMATS:
-        raise ValueError(f"fmt must be one of {', '.join(TRACE_FORMATS)}")
-    fname = f"{name}.{fmt}"
+    fname = f"{name}.bin"
     with open(directory / fname, "wb") as fh:
         for block in blocks:
-            if fmt == "bin":
-                block.astype(dtype.newbyteorder("<"), copy=False).tofile(fh)
-            else:
-                np.savetxt(fh, np.atleast_2d(block), fmt="%.17g" if dtype.kind == "f" else "%d",
-                           delimiter=",")
+            block.astype(dtype.newbyteorder("<"), copy=False).tofile(fh)
     return {"file": fname, "dtype": f"<{dtype.kind}{dtype.itemsize}", "shape": list(shape),
-            "format": fmt}
+            "format": "bin"}
 
 
-def save_chain(output: ChainOutput, directory, fmt: str = "bin"):
+def save_chain(output: ChainOutput, directory):
     """Persist traces plus a metadata JSON describing every array."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -193,10 +186,10 @@ def save_chain(output: ChainOutput, directory, fmt: str = "bin"):
         if name in _LABELS_OF:  # derived from zeta one row block at a time
             blocks = (_LABELS_OF[name](zeta[lo:lo + _CHECK_ROWS], J)
                       for lo in range(0, zeta.shape[0], _CHECK_ROWS))
-            entry = _write_array(directory, name, blocks, zeta.dtype, zeta.shape, fmt)
+            entry = _write_array(directory, name, blocks, zeta.dtype, zeta.shape)
         else:
             arr = getattr(output, name)
-            entry = _write_array(directory, name, [arr], arr.dtype, arr.shape, fmt)
+            entry = _write_array(directory, name, [arr], arr.dtype, arr.shape)
         meta["arrays"][name] = entry
     if output.atom_snapshots is not None:
         (directory / "atoms.json").write_text(json.dumps(output.atom_snapshots))
@@ -204,17 +197,19 @@ def save_chain(output: ChainOutput, directory, fmt: str = "bin"):
     (directory / "metadata.json").write_text(json.dumps(meta, indent=1, sort_keys=True))
 
 
-def _trace_reader(directory: Path, entry: dict):
-    """A reader of row slices of a stored trace: a binary trace is checked
-    to have the size its metadata gives and is read from its file one slice
-    at a time, a CSV trace is read whole."""
-    path, dtype, shape = directory / entry["file"], np.dtype(entry["dtype"]), tuple(entry["shape"])
+def _trace_reader(directory: Path, name: str, entry: dict):
+    """A reader of row slices of the stored trace ``name``, once its file has
+    the size its metadata ``entry`` gives.  A bad entry raises LookupError,
+    TypeError or ValueError, which load_chain reports against metadata.json."""
+    path = directory / entry["file"]
     if entry["format"] != "bin":
-        if 0 not in shape:
-            return np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2).reshape(shape).__getitem__
-        if not path.is_file():  # no data to parse, and loadtxt warns about that
-            raise FileNotFoundError(f"{path} not found.")  # what loadtxt raises
-        return np.empty(shape, dtype=dtype).__getitem__
+        raise ParseError(f"{path}: a {entry['format']!r} trace; only 'bin' traces are read")
+    dtype, shape = np.dtype(entry["dtype"]), tuple(map(operator.index, entry["shape"]))
+    if dtype.kind not in ("iu" if name in _LABELS_OF else "iuf"):
+        raise ValueError(f"{name} has dtype {dtype.str}, not "
+                         f"{'an integer' if name in _LABELS_OF else 'a numeric'} type")
+    if not shape or min(shape) < 0:
+        raise ValueError(f"{name} has shape {list(shape)}")
     row = math.prod(shape[1:])
     size = path.stat().st_size  # a missing file fails here, as a whole read would
     if size != shape[0] * row * dtype.itemsize:
@@ -230,29 +225,25 @@ def _trace_reader(directory: Path, entry: dict):
 
 
 def load_chain(directory) -> ChainOutput:
+    """The chain stored in ``directory``; bad metadata.json is a ParseError."""
     directory = Path(directory)
-    meta = json.loads((directory / "metadata.json").read_text())
+    meta_path = directory / "metadata.json"
     try:
-        entries = {name: meta["arrays"][name] for name in _TRACE_ARRAYS}
-        readers = {name: _trace_reader(directory, entry) for name, entry in entries.items()}
-        n_known, seed, run_meta = meta["n_known"], meta["seed"], meta["meta"]
-    except KeyError as exc:
-        raise ParseError(f"{directory / 'metadata.json'}: missing key {exc}") from exc
-    for name in _LABELS_OF:
-        dtype = np.dtype(entries[name]["dtype"])
-        if dtype.kind not in "iu":
-            raise ParseError(f"{directory / 'metadata.json'}: {name} has dtype "
-                             f"{dtype.str}, not an integer type")
+        meta = json.loads(meta_path.read_text())
+        readers = {name: _trace_reader(directory, name, meta["arrays"][name])
+                   for name in _TRACE_ARRAYS}
+        n_known, seed, run_meta = operator.index(meta["n_known"]), meta["seed"], meta["meta"]
+    except (LookupError, TypeError, ValueError) as exc:
+        why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ParseError(f"{meta_path}: {why}") from exc
     arrays = {name: readers[name](slice(None)) for name in _TRACE_ARRAYS if name not in _LABELS_OF}
     # zeta overwrites the alpha buffer and beta is read in row blocks, so
     # only one full label trace is ever held
     alpha, beta = readers["alpha_trace"], readers["beta_trace"]
     zeta = _zeta_from_labels(alpha(slice(None)).astype(np.int32, copy=False),
                              lambda rows: beta(rows).astype(np.int32, copy=False),
-                             entries["beta_trace"]["shape"], n_known)
-    snapshots = None
-    if "atoms" in meta:
-        snapshots = json.loads((directory / meta["atoms"]).read_text())
+                             meta["arrays"]["beta_trace"]["shape"], n_known)
+    snapshots = json.loads((directory / meta["atoms"]).read_text()) if "atoms" in meta else None
     return ChainOutput(zeta_trace=zeta, n_known=n_known, seed=seed, atom_snapshots=snapshots,
                        meta=run_meta, **arrays)
 

@@ -154,6 +154,14 @@ class ChainOutput:
         self.zeta_trace = np.asarray(zeta_trace, dtype=np.int32)
         if self.zeta_trace.size and self.zeta_trace.min() < 1:
             raise ValueError("zeta trace labels are 1-based")
+        if self.zeta_trace.ndim != 2:
+            raise DimensionMismatch(f"zeta_trace has shape {self.zeta_trace.shape}, not 2-D")
+        scans = self.zeta_trace.shape[0]
+        for name, array, shape in (("pi_trace", pi_trace, (scans, self.n_known + 1)),
+                                   ("gamma_trace", gamma_trace, (scans,)),
+                                   ("n_active_trace", n_active_trace, (scans,))):
+            if np.shape(array) != shape:
+                raise DimensionMismatch(f"{name} has shape {np.shape(array)}, not {shape}")
         if pi_trace.size and np.max(np.abs(pi_trace.sum(axis=1) - 1.0)) > 1e-10:
             raise ValueError("pi trace rows must lie on the simplex")
         self.pi_trace, self.gamma_trace, self.n_active_trace = pi_trace, gamma_trace, n_active_trace
@@ -353,45 +361,39 @@ def _sample_allocations(rng, log_lik, weights, u, xi, stair: Staircase) -> np.nd
 
     ``log_lik`` holds the eligible cells (u_m < xi_l) only, in the order of
     ``stair``, the :class:`Staircase` of (u, xi).  Sampling is the Gumbel
-    argmax in log space, which sidesteps underflow, with the draws of
-    ``rng.gumbel(size=(M, L))``: its uniforms are drawn at once and the
-    eligible cells' scores are screened with numpy's log; a unit whose best
-    cell is within the screen's error of another cell is re-scored with
-    ``math.log`` (libm, as in numpy's gumbel) and takes the first exact
-    maximum.  gumbel redraws a uniform of exactly 0, so then the generator
-    is rewound and gumbel itself is called.
+    argmax in log space, which sidesteps underflow, with the draws numpy's
+    gumbel makes at shape (M, L): its uniforms are drawn at once, each exact
+    0 dropped for the next draw of the stream (as gumbel redraws it), and
+    the eligible cells' scores are screened with numpy's log; a unit whose
+    best cell is within the screen's error of another cell is re-scored
+    with ``math.log`` (libm, as in numpy's gumbel) and takes the first
+    exact maximum.
     """
     M, L = u.size, xi.size
     unit, col = stair.unit, stair.col
     with np.errstate(divide="ignore"):
         logits = log_lik + (np.log(weights) - np.log(xi))[col]
     cell = unit * L + col  # the cell's index in a unit-order (M, L) draw
-    state = rng.bit_generator.state
-    U = rng.random((M, L))
-    screened = bool(U.all())
-    if screened:  # in place: logits - log(-log(1 - U))
-        U = U.ravel()[cell]
-        scores = np.subtract(1.0, U)
-        np.log(scores, out=scores)
-        np.log(np.negative(scores, out=scores), out=scores)
-        np.subtract(logits, scores, out=scores)
-    else:
-        rng.bit_generator.state = state
-        scores = logits + rng.gumbel(size=(M, L)).ravel()[cell]
+    U = rng.random(M * L)
+    while not U.all():  # as gumbel does, an exact 0 gives way to the next draw
+        U = np.append(U[U != 0.0], rng.random(U.size - np.count_nonzero(U)))
+    U = U[cell]
+    scores = np.subtract(1.0, U)  # in place: logits - log(-log(1 - U))
+    np.log(scores, out=scores)
+    np.log(np.negative(scores, out=scores), out=scores)
+    np.subtract(logits, scores, out=scores)
     top = np.full(M, -np.inf)
     np.maximum.at(top, unit, scores)
     if not np.all(top > -np.inf):
         raise AllSlicesEmpty("a unit has no eligible component; sampler invariant broken")
     # the cells at or near each unit's best: mostly the best one alone
-    near = np.flatnonzero(scores >= (top - _SCREEN_TOL * (1.0 + np.abs(top)) if screened
-                                     else top)[unit])
+    near = np.flatnonzero(scores >= (top - _SCREEN_TOL * (1.0 + np.abs(top)))[unit])
     best = np.empty(M, dtype=np.intp)
     best[unit[near]] = near
     if near.size > M:  # a unit with a second cell: the first exact maximum wins
         for m in np.flatnonzero(np.bincount(unit[near], minlength=M) > 1).tolist():
             cells = near[unit[near] == m].tolist()  # columns ascending
-            exact = [logits[c] - math.log(-math.log(1.0 - U[c])) if screened else scores[c]
-                     for c in cells]
+            exact = [logits[c] - math.log(-math.log(1.0 - U[c])) for c in cells]
             best[m] = cells[exact.index(max(exact))]
     return col[best] + 1
 

@@ -19,6 +19,16 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def _saved_chain(tmp_path, n_units):
+    """The traces directory of a stored three-scan chain with two known classes."""
+    chain = ChainOutput(zeta_trace=np.ones((3, n_units)),
+                        pi_trace=np.tile([0.5, 0.3, 0.2], (3, 1)),
+                        gamma_trace=np.ones(3), n_active_trace=np.full(3, 3),
+                        n_known=2, seed=0)
+    nio.save_chain(chain, tmp_path / "traces")
+    return tmp_path / "traces"
+
+
 @pytest.fixture(scope="module")
 def sim_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("sim")
@@ -249,7 +259,7 @@ class TestErrorPaths:
         assert not out.exists()
 
     @pytest.mark.parametrize("command,line,key", [
-        ("fit", "trace-format = xyz", "trace-format"),
+        ("fit", "trace-format = csv", "trace-format"),
         ("fit", "n-iter = abc", "n-iter"),
         ("fit-functional", "layout = diagonal", "layout"),
         ("fit", "n_iter = 5", "unknown config key n_iter"),
@@ -313,6 +323,18 @@ class TestErrorPaths:
                        "--outdir", str(out), "--n-iter", "30", "--n-burnin", "10") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "fit-functional"])
+    def test_trace_format_is_no_option(self, command, tmp_path, capsys):
+        """Traces are written as flat binaries only."""
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([command, "--help"])
+        assert "--trace-format" not in capsys.readouterr().out
+        out = tmp_path / "run"
+        assert run_cli(command, "--train", str(tmp_path / "train.csv"), "--test",
+                       str(tmp_path / "test.csv"), "--trace-format", "csv",
+                       "--outdir", str(out)) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("meta", [
         {},
         {"n_known": 1, "seed": 0, "meta": {}, "arrays": {}},
@@ -346,16 +368,57 @@ class TestErrorPaths:
         assert not (tmp_path / "summary").exists()
 
     @pytest.mark.parametrize("n_units", [0, 2])
-    def test_missing_csv_trace_file_is_data_error(self, n_units, tmp_path, capsys):
-        traces = tmp_path / "traces"
-        chain = ChainOutput(zeta_trace=np.ones((3, n_units)),
-                            pi_trace=np.tile([0.5, 0.3, 0.2], (3, 1)),
-                            gamma_trace=np.ones(3), n_active_trace=np.full(3, 3),
-                            n_known=2, seed=0)
-        nio.save_chain(chain, traces, fmt="csv")
-        (traces / "alpha_trace.csv").unlink()
+    def test_missing_trace_file_is_data_error(self, n_units, tmp_path, capsys):
+        traces = _saved_chain(tmp_path, n_units)
+        (traces / "alpha_trace.bin").unlink()
         assert run_cli("summarize", "--chain-dir", str(traces)) == 2
-        assert capsys.readouterr().err == f"error: {traces / 'alpha_trace.csv'} not found.\n"
+        err = capsys.readouterr().err
+        assert str(traces / "alpha_trace.bin") in err and err.count("\n") == 1
+        assert not (tmp_path / "summary").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta: meta["arrays"]["pi_trace"].update(dtype="foo"), "data type 'foo'"),
+        (lambda meta: meta["arrays"]["pi_trace"].update(dtype="<U3"), "pi_trace has dtype"),
+        (lambda meta: meta["arrays"]["gamma_trace"].update(shape="abc"), "integer"),
+        (lambda meta: meta["arrays"]["gamma_trace"].update(shape=[-3]), "shape [-3]"),
+        (lambda meta: meta["arrays"]["alpha_trace"].update(shape=[]), "shape []"),
+        (lambda meta: meta["arrays"]["beta_trace"].update(file=5), "metadata.json"),
+        (lambda meta: meta.update(arrays=[]), "metadata.json"),
+        (lambda meta: meta.update(n_known="2"), "integer"),
+        (lambda meta: "{not json", "metadata.json"),
+    ], ids=["dtype-foo", "dtype-str", "shape-abc", "shape-negative", "shape-empty",
+            "file-number", "arrays-list", "n-known-str", "not-json"])
+    def test_malformed_chain_metadata_is_data_error(self, edit, message, tmp_path, capsys):
+        traces = _saved_chain(tmp_path, 2)
+        meta = json.loads((traces / "metadata.json").read_text())
+        text = edit(meta)
+        (traces / "metadata.json").write_text(text or json.dumps(meta))
+        assert run_cli("summarize", "--chain-dir", str(traces)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {traces / 'metadata.json'}: ") and message in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "summary").exists()
+
+    def test_csv_trace_is_data_error(self, tmp_path, capsys):
+        """A run directory with CSV traces is refused, not read."""
+        traces = _saved_chain(tmp_path, 2)
+        meta = json.loads((traces / "metadata.json").read_text())
+        meta["arrays"]["alpha_trace"].update(file="alpha_trace.csv", format="csv")
+        (traces / "metadata.json").write_text(json.dumps(meta))
+        np.savetxt(traces / "alpha_trace.csv", np.ones((3, 2)), fmt="%d", delimiter=",")
+        assert run_cli("summarize", "--chain-dir", str(traces)) == 2
+        assert capsys.readouterr().err == (f"data error: {traces / 'alpha_trace.csv'}: a 'csv' "
+                                           "trace; only 'bin' traces are read\n")
+        assert not (tmp_path / "summary").exists()
+
+    def test_trace_shapes_that_disagree_are_data_error(self, tmp_path, capsys):
+        traces = _saved_chain(tmp_path, 2)
+        meta = json.loads((traces / "metadata.json").read_text())
+        meta["arrays"]["gamma_trace"]["shape"] = [5]  # against 3 retained scans
+        (traces / "metadata.json").write_text(json.dumps(meta))
+        np.ones(5).astype("<f8").tofile(traces / "gamma_trace.bin")
+        assert run_cli("summarize", "--chain-dir", str(traces)) == 2
+        assert capsys.readouterr().err == "data error: gamma_trace has shape (5,), not (3,)\n"
         assert not (tmp_path / "summary").exists()
 
     @pytest.mark.parametrize("name, dtype", [("alpha_trace", "<f8"), ("beta_trace", "<f4")])
@@ -492,7 +555,9 @@ def test_every_option_is_offered_or_config_only():
 
 def test_readme_configuration_lists_every_fit_option():
     """Every option of both fit commands, and the config-only keys, appear in
-    the README's Configuration section."""
+    the README's Configuration section, and every backticked token there is
+    an option, a command or ``key = value``, so a removed key cannot stay
+    documented."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("### Configuration", 1)[1].split("\n#", 1)[0]
     named = {token.lstrip("-") for token in re.findall(r"`([^`]+)`", section)}
@@ -501,3 +566,4 @@ def test_readme_configuration_lists_every_fit_option():
         keys.update(cli._COMMANDS[command].options)
     assert keys <= set(cli._OPTIONS)
     assert sorted(keys - named) == []
+    assert sorted(named - cli._OPTIONS.keys() - cli._COMMANDS.keys() - {"key = value"}) == []

@@ -125,9 +125,9 @@ class TestStickBreaking:
 
 def _from_labels(alpha, beta, J):
     """The zeta trace of a one-scan (alpha, beta) pair, through ChainOutput."""
-    return ChainOutput(alpha_trace=alpha[None], beta_trace=beta[None], pi_trace=np.ones((1, 1)),
-                       gamma_trace=np.ones(1), n_active_trace=np.ones(1), n_known=J,
-                       seed=0).zeta_trace[0]
+    return ChainOutput(alpha_trace=alpha[None], beta_trace=beta[None],
+                       pi_trace=np.full((1, J + 1), 1 / (J + 1)), gamma_trace=np.ones(1),
+                       n_active_trace=np.ones(1), n_known=J, seed=0).zeta_trace[0]
 
 
 class TestMembershipMapping:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from novelbayes import sampler
-from novelbayes.errors import AllSlicesEmpty, NotPositiveDefinite
+from novelbayes.errors import AllSlicesEmpty, DimensionMismatch, NotPositiveDefinite
 from novelbayes.model import (
     GammaPrior,
     GaussianAtom,
@@ -432,21 +432,34 @@ class _CountingMath:
         return getattr(math, name)
 
 
-class _ZeroUniform:
-    """A generator whose ``random`` puts an exact 0 into the block it
-    returns, as numpy's gumbel would meet one; everything else is the
-    wrapped generator's."""
+_PCG64_MULT = 0x2360ed051fc65da44385df649fccf645
 
-    def __init__(self, rng):
-        self.rng, self.bit_generator = rng, rng.bit_generator
+
+def _zero_at(k: int, seed: int = 0) -> np.random.Generator:
+    """A PCG64 generator whose k-th double (0-based) is exactly 0.  The
+    output is rotr(hi ^ lo) of the stepped 128-bit state, so a state with
+    equal halves gives 0; the generator is set one step before it and
+    moved k steps back."""
+    bit_generator = np.random.PCG64(seed)
+    state = bit_generator.state
+    halves = (0x9E3779B97F4A7C15 << 64) | 0x9E3779B97F4A7C15
+    state["state"]["state"] = ((halves - state["state"]["inc"]) * pow(_PCG64_MULT, -1, 2**128)
+                               % 2**128)
+    bit_generator.state = state
+    bit_generator.advance(2**128 - k)
+    return np.random.Generator(bit_generator)
+
+
+class _Scripted:
+    """Stands in for a generator: ``random`` returns the next values of a
+    fixed stream of doubles."""
+
+    def __init__(self, stream):
+        self.stream, self.drawn = stream, 0
 
     def random(self, size):
-        U = self.rng.random(size)
-        U.flat[U.size // 2] = 0.0
-        return U
-
-    def gumbel(self, size):
-        return self.rng.gumbel(size=size)
+        self.drawn += size
+        return self.stream[self.drawn - size:self.drawn].copy()
 
 
 class TestAllocations:
@@ -504,12 +517,35 @@ class TestAllocations:
         assert np.array_equal(np.unique(want[up]), [2]) and np.all(want[~up] < 3)
         assert counter.logs >= 2 * 2 * M  # two logs per cell, two or more cells per unit
 
-    def test_a_zero_uniform_falls_back_to_the_gumbel_stream(self):
-        log_lik, cells, weights, u, xi = _staircase_case(5, 200, 20)
-        rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
-        got = _allocate(_ZeroUniform(rng), cells, weights, u, xi)
+    @pytest.mark.parametrize("M, L", [(1, 4), (7, 3), (200, 20)])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_an_exact_zero_uniform_is_redrawn_as_gumbel_redraws_it(self, M, L, where):
+        k = {"first": 0, "middle": M * L // 2, "last": M * L - 1}[where]
+        assert _zero_at(k).random(M * L)[k] == 0.0
+        log_lik, cells, weights, u, xi = _staircase_case(5, M, L)
+        got_rng, want_rng = _zero_at(k), _zero_at(k)
+        got = _allocate(got_rng, cells, weights, u, xi)
         assert np.array_equal(got, _gumbel_allocations(want_rng, log_lik, weights, xi))
-        assert rng.bit_generator.state == want_rng.bit_generator.state
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_a_zero_refill_draw_is_redrawn_too(self):
+        """Zeros in the first block and in its refill: the noise is libm's
+        -log(-log(1 - d)) over the stream's doubles with the zeros left out."""
+        M, L = 6, 4
+        log_lik, cells, weights, u, xi = _staircase_case(6, M, L)
+        stream = np.random.default_rng(6).random(M * L + 3)
+        stream[[2, M * L]] = 0.0  # M * L is the first refill draw
+        rng = _Scripted(stream)
+        got = _allocate(rng, cells, weights, u, xi)
+        assert rng.drawn == M * L + 2
+        d = stream[stream != 0.0][:M * L].reshape(M, L).tolist()
+        with np.errstate(divide="ignore"):
+            logits = (log_lik + np.log(weights) - np.log(xi)).tolist()
+        want = []
+        for m in range(M):
+            scores = [logits[m][l] - math.log(-math.log(1.0 - d[m][l])) for l in range(L)]
+            want.append(scores.index(max(scores)) + 1)
+        assert got.tolist() == want
 
     def test_a_unit_without_an_eligible_cell_is_an_error(self):
         log_lik = np.zeros((3, 2))
@@ -672,6 +708,23 @@ class TestRunChain:
             ChainOutput(alpha_trace=np.array([[1]]), beta_trace=np.array([[1]]),
                         pi_trace=np.array([[0.5, 0.5]]), gamma_trace=np.ones(1),
                         n_active_trace=np.ones(1), n_known=1, seed=0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("zeta_trace", np.ones(3)),
+        ("pi_trace", np.full((1, 2), 0.5)),  # one row for three scans
+        ("pi_trace", np.full((3, 3), 1 / 3)),  # n_known + 2 columns
+        ("pi_trace", np.full(3, 0.5)),
+        ("gamma_trace", np.ones(7)),
+        ("gamma_trace", np.ones((3, 1))),
+        ("n_active_trace", np.ones(0)),
+    ])
+    def test_traces_have_one_row_per_retained_scan(self, name, value):
+        traces = dict(zeta_trace=np.ones((3, 4)), pi_trace=np.full((3, 2), 0.5),
+                      gamma_trace=np.ones(3), n_active_trace=np.full(3, 2))
+        assert ChainOutput(n_known=1, seed=0, **traces).n_units == 4
+        traces[name] = value
+        with pytest.raises(DimensionMismatch, match=name):
+            ChainOutput(n_known=1, seed=0, **traces)
 
     def test_exclusivity_checked_past_first_row_block(self):
         alpha = np.ones((_CHECK_ROWS + 300, 3), dtype=int)

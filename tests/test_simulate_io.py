@@ -124,10 +124,9 @@ class TestSummariesAndChains:
                            gamma_trace=np.ones(I), n_active_trace=np.full(I, 4),
                            n_known=2, seed=3, meta={"n_iter": 20})
 
-    @pytest.mark.parametrize("fmt", ["bin", "csv"])
-    def test_chain_round_trip(self, tmp_path, fmt):
+    def test_chain_round_trip(self, tmp_path):
         out = self._chain()
-        nio.save_chain(out, tmp_path / "traces", fmt=fmt)
+        nio.save_chain(out, tmp_path / "traces")
         back = nio.load_chain(tmp_path / "traces")
         assert np.array_equal(back.alpha_trace, out.alpha_trace)
         assert np.array_equal(back.beta_trace, out.beta_trace)
@@ -157,9 +156,6 @@ class TestSummariesAndChains:
             nio.read_config(cfg)
 
 
-# a csv trace of zero units must load without numpy's empty-input warning;
-# only that warning is an error, so a failure report's own warnings stay warnings
-@pytest.mark.filterwarnings("error:loadtxt. input contained no data:UserWarning")
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 4), st.sampled_from([1, 2, _CHECK_ROWS + 37]), st.integers(0, 4),
        st.integers(0, 2**32 - 1))
@@ -180,12 +176,10 @@ def test_zeta_and_label_traces_agree(n_known, n_scans, n_units, seed):
             assert np.array_equal(got, want)
 
     with tempfile.TemporaryDirectory() as tmp:
-        dirs = {fmt: Path(tmp, fmt) for fmt in nio.TRACE_FORMATS}
-        for fmt, directory in dirs.items():
-            nio.save_chain(from_zeta, directory, fmt=fmt)
-            back = nio.load_chain(directory)
-            assert back.zeta_trace.dtype == np.int32
-            assert np.array_equal(back.zeta_trace, zeta)
+        nio.save_chain(from_zeta, tmp)
+        back = nio.load_chain(tmp)
+        assert back.zeta_trace.dtype == np.int32
+        assert np.array_equal(back.zeta_trace, zeta)
         if n_scans <= _CHECK_ROWS or n_units == 0:
             return
         # flip one alpha past the first row block: neither or both positive
@@ -193,11 +187,9 @@ def test_zeta_and_label_traces_agree(n_known, n_scans, n_units, seed):
         alpha[row, unit] = 0 if alpha[row, unit] else 1
         with pytest.raises(ValueError, match="exactly one of alpha, beta must be positive"):
             ChainOutput(alpha_trace=alpha, beta_trace=beta, **rest)
-        alpha.astype("<i4").tofile(dirs["bin"] / "alpha_trace.bin")
-        np.savetxt(dirs["csv"] / "alpha_trace.csv", alpha, fmt="%d", delimiter=",")
-        for directory in dirs.values():
-            with pytest.raises(ValueError, match="exactly one of alpha, beta must be positive"):
-                nio.load_chain(directory)
+        alpha.astype("<i4").tofile(Path(tmp, "alpha_trace.bin"))
+        with pytest.raises(ValueError, match="exactly one of alpha, beta must be positive"):
+            nio.load_chain(tmp)
 
 
 def _saved_labels(directory, n_scans, n_units, n_known=2):
@@ -272,13 +264,8 @@ def test_beta_file_of_another_shape_is_a_parse_error(tmp_path, name, extra_rows)
 @pytest.mark.parametrize("n_scans, n_units", [(2 * _CHECK_ROWS + 7, 5), (0, 4), (3, 0)])
 def test_label_traces_written_by_row_blocks_have_whole_array_bytes(tmp_path, n_scans, n_units):
     """save_chain derives and writes alpha and beta one row block at a time;
-    the files hold the bytes of one whole-array write in either format."""
+    the files hold the bytes of one whole-array write."""
     out = _saved_labels(tmp_path / "bin", n_scans, n_units)
-    nio.save_chain(out, tmp_path / "csv", fmt="csv")
     for name in ("alpha_trace", "beta_trace"):
-        whole = getattr(out, name)
-        whole.astype("<i4").tofile(tmp_path / f"{name}.bin")
-        np.savetxt(tmp_path / f"{name}.csv", np.atleast_2d(whole), fmt="%d", delimiter=",")
-        for fmt in nio.TRACE_FORMATS:
-            written = (tmp_path / fmt / f"{name}.{fmt}").read_bytes()
-            assert written == (tmp_path / f"{name}.{fmt}").read_bytes()
+        written = (tmp_path / "bin" / f"{name}.bin").read_bytes()
+        assert written == getattr(out, name).astype("<i4").tobytes()
