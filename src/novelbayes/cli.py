@@ -119,8 +119,12 @@ def _chain_settings(settings_cls, cfg, class_sizes, n_iter: int, n_burnin: int, 
         **_given(cfg, "a0", "kappa", "seed"), **own)
 
 
-def _summarize(cfg, output):
-    return summarize(output, **_given(cfg, "ppn_threshold", "min_size"))
+def _summary_options(cfg) -> dict:
+    """The summary's options, read before any work is done."""
+    options = _given(cfg, "ppn_threshold", "min_size")
+    if not 0.0 <= options.get("ppn_threshold", 0.0) < 1.0:
+        raise ValueError("ppn-threshold must lie in [0, 1)")
+    return options
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +184,16 @@ def _cmd_fit(cfg) -> int:
     m0 = [float(x) for x in _get(cfg, "m0", "0").split(",")]
     base_measure = NIWParams(np.full(p, m0[0]) if len(m0) == 1 else np.asarray(m0),
                              _get(cfg, "lambda0", 0.01), _get(cfg, "nu0", nu),
-                             _get(cfg, "s0-scale", 10.0) * np.eye(p))
+                             np.diag(np.full(p, _get(cfg, "s0-scale", 10.0))))
     hp = _chain_settings(Hyperparameters, cfg, train.class_sizes, 20000, 10000,
                          lambda_tr=_get(cfg, "lambda-tr", 10.0),
                          nu_tr=_get(cfg, "nu-tr", nu), base_measure=base_measure)
-    mcd = _mcd_config(cfg)
+    mcd, options = _mcd_config(cfg), _summary_options(cfg)
 
     def run():
         priors = extract_class_priors(train, mcd)
         output = run_chain(test, priors, hp)
-        return (output, _summarize(cfg, output),
+        return (output, summarize(output, **options),
                 lambda outdir: nio.summaries_to_json(priors, outdir / "priors.json"))
 
     outdir = _fit_common(cfg, run, hp.seed)
@@ -203,12 +207,12 @@ def _cmd_fit_functional(cfg) -> int:
     hyper = _chain_settings(FunctionalHyper, cfg, np.bincount(train.labels)[1:], 10000, 5000,
                             basis=BasisSpec(**_given(cfg, "n_basis", "order")),
                             **_given(cfg, "a_tau", "b_tau", "s2", "a_H", "b_H", "phi", "v"))
-    mcd = _mcd_config(cfg)
+    mcd, options = _mcd_config(cfg), _summary_options(cfg)
 
     def run():
         priors = extract_functional_priors(train, hyper.basis, mcd)
         output = run_functional_chain(test, priors, hyper)
-        summary = _summarize(cfg, output)
+        summary = summarize(output, **options)
         return output, summary, lambda outdir: nio.write_cluster_means(
             outdir / "novelty_cluster_means.csv", test, summary)
 
@@ -218,8 +222,8 @@ def _cmd_fit_functional(cfg) -> int:
 
 
 def _cmd_summarize(cfg) -> int:
-    chain_dir = cfg["chain-dir"]
-    summary = _summarize(cfg, nio.load_chain(chain_dir))
+    chain_dir, options = cfg["chain-dir"], _summary_options(cfg)
+    summary = summarize(nio.load_chain(chain_dir), **options)
     dest = Path(cfg.get("outdir", Path(chain_dir).parent / "summary"))
     nio.save_summary(summary, dest)
     print(f"summary written to {dest}")

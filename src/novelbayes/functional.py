@@ -48,10 +48,6 @@ class CurveSet:
         if self.labels is not None:
             self.labels = LabeledDataset(self.values, self.labels).labels
 
-    @property
-    def n_points(self) -> int:
-        return self.grid.size
-
 
 @dataclass(frozen=True)
 class BasisSpec:
@@ -198,7 +194,7 @@ def smooth_curves(curves: CurveSet, spec: BasisSpec,
     grid at all means the specification cannot represent anything there.
     ``Phi`` is the basis at the grid when the caller has already built it.
     """
-    if curves.n_points < spec.n_basis:
+    if curves.grid.size < spec.n_basis:
         raise RankDeficientBasis("fewer grid points than basis functions")
     if Phi is None:
         Phi = bspline_basis(spec, curves.grid)

@@ -233,9 +233,14 @@ def load_chain(directory) -> ChainOutput:
         readers = {name: _trace_reader(directory, name, meta["arrays"][name])
                    for name in _TRACE_ARRAYS}
         n_known, seed, run_meta = operator.index(meta["n_known"]), meta["seed"], meta["meta"]
+        atoms = directory / meta["atoms"] if "atoms" in meta else None
     except (LookupError, TypeError, ValueError) as exc:
         why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ParseError(f"{meta_path}: {why}") from exc
+    try:
+        snapshots = None if atoms is None else json.loads(atoms.read_text())
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"{atoms}: {getattr(exc, 'strerror', None) or exc}") from exc
     arrays = {name: readers[name](slice(None)) for name in _TRACE_ARRAYS if name not in _LABELS_OF}
     # zeta overwrites the alpha buffer and beta is read in row blocks, so
     # only one full label trace is ever held
@@ -243,7 +248,6 @@ def load_chain(directory) -> ChainOutput:
     zeta = _zeta_from_labels(alpha(slice(None)).astype(np.int32, copy=False),
                              lambda rows: beta(rows).astype(np.int32, copy=False),
                              meta["arrays"]["beta_trace"]["shape"], n_known)
-    snapshots = json.loads((directory / meta["atoms"]).read_text()) if "atoms" in meta else None
     return ChainOutput(zeta_trace=zeta, n_known=n_known, seed=seed, atom_snapshots=snapshots,
                        meta=run_meta, **arrays)
 

@@ -164,6 +164,10 @@ class Hyperparameters(ChainSettings):
         super().__post_init__()
         if self.lambda_tr <= 0:
             raise ValueError("lambda_tr must be positive")
+        try:  # an empty novelty slot draws from the base measure itself
+            _chol(self.base_measure.scale_matrix)
+        except (NotPositiveDefinite, ValueError):
+            raise ValueError("base measure scale (s0-scale) must be positive definite") from None
 
     @property
     def frozen_known_atoms(self) -> bool:
@@ -328,15 +332,18 @@ def _block_distances(D: np.ndarray, factors, sizes) -> np.ndarray:
     ``factors[k]``.  D is taken as a C-ordered float64 block (copied only if
     it is not one, else overwritten), so D.T is an F-ordered (p, N) block
     and each run is solved in place by one LAPACK call on a contiguous
-    slice, the call a one-run block gets; the norms are one reduction over
-    the whole block, the reduction of each run alone."""
+    slice, the call a one-run block gets.  A norm has the bits of numpy's
+    sum over its row, which adds fewer than 8 values in plain order, ((a0 +
+    a1) + a2) + ...: below p = 8 the rows of Z * Z are added so, along the
+    long axis, without numpy's per-row loop."""
     Z = np.ascontiguousarray(D, dtype=np.float64).T
     lo = 0
     for L, n in zip(factors, sizes):
         if n:
             _solve_triangular(L, Z[:, lo:lo + n], overwrite=True)
         lo += n
-    return np.multiply(Z, Z, out=Z).sum(axis=0)
+    Z = np.multiply(Z, Z, out=Z)
+    return Z.sum(axis=0) if len(Z) >= 8 else sum(Z[1:], Z[0])  # 8 or more: pairwise
 
 
 def log_gaussian_density_many(X: np.ndarray, means: np.ndarray, chols: np.ndarray,

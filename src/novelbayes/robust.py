@@ -158,7 +158,7 @@ def consistency_factor(eta: float, p: int) -> float:
 def _subset_moments(X: np.ndarray, idx: np.ndarray):
     """Mean and covariance of the rows ``idx`` of X, or of each row of an
     (S, h) stack of subsets; a stacked subset gets the bits of its own call."""
-    dev = X[idx]
+    dev = np.take(X, idx, axis=0)  # X[idx]'s bytes, without its per-row cost
     mean = dev.mean(axis=-2)
     dev -= mean[..., None, :]
     return mean, np.swapaxes(dev, -1, -2) @ dev / (idx.shape[-1] - 1)
@@ -189,8 +189,15 @@ def _stacked_sq_mahalanobis(X: np.ndarray, means: np.ndarray, covs: np.ndarray):
 
 
 def _smallest_h(dist: np.ndarray, h: int) -> np.ndarray:
-    # stable sort: ties in distance resolve to the lowest row index
-    return np.sort(np.argsort(dist, axis=-1, kind="stable")[..., :h], axis=-1)
+    # The first h of each row's stable argsort, ties to the lowest index, in
+    # increasing order.  With t the h-th smallest value they are every d < t
+    # (at most h - 1) and then the lowest-index d == t (at least as many as
+    # are missing), picked by a running count of the ties; np.nonzero lists
+    # them in index order.  Distances are never NaN (finite rows, factors).
+    t = np.partition(dist, h - 1, axis=-1)[..., h - 1:h]
+    below, ties = dist < t, dist == t
+    keep = below | (ties & (np.cumsum(ties, axis=-1) <= h - below.sum(-1, keepdims=True)))
+    return np.nonzero(keep)[-1].reshape(dist.shape[:-1] + (h,))
 
 
 def _slogdet_spd(cov: np.ndarray):

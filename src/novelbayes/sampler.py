@@ -84,10 +84,6 @@ class TestDataset:
     def __len__(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.data.shape[1]
-
 
 @dataclass
 class ChainState:
@@ -453,8 +449,9 @@ class GaussianFamily:
         measure itself)."""
         J = len(known)
         laws = [] if self.known_niw is None else \
-            [niw_posterior(law, self.data[rows]) for law, rows in zip(self.known_niw, members[:J])]
-        laws += [niw_posterior(self.base_measure, self.data[rows]) if rows.size
+            [niw_posterior(law, np.take(self.data, rows, axis=0))
+             for law, rows in zip(self.known_niw, members[:J])]
+        laws += [niw_posterior(self.base_measure, np.take(self.data, rows, axis=0)) if rows.size
                  else self.base_measure for rows in members[J:]]
         atoms = niw_atoms(laws, [sample_niw(law, rng) for law in laws])
         return (known, atoms) if self.known_niw is None else (atoms[:J], atoms[J:])
@@ -476,8 +473,8 @@ class GaussianFamily:
         cols = np.flatnonzero(n_rows)
         sizes = np.maximum(n_rows[cols], min(2, order.size))
         rows = _runs(sizes)
-        dens = log_gaussian_density_many(self.data[order[rows]], means[cols], factors[cols],
-                                         sizes)
+        dens = log_gaussian_density_many(np.take(self.data, order[rows], axis=0), means[cols],
+                                         factors[cols], sizes)
         return dens[rows < np.repeat(n_rows[cols], sizes)]
 
     def snapshot(self, known: list, novel: list) -> dict:
@@ -622,7 +619,7 @@ def run_chain(data: TestDataset, priors: list, hp: Hyperparameters,
     """
     if len(priors) != hp.n_known:
         raise DimensionMismatch("number of priors must equal n_known")
-    if len(data) and data.dim != priors[0].mean.size:
+    if len(data) and data.data.shape[1] != priors[0].mean.size:
         raise DimensionMismatch("data dimension does not match the priors")
     return _run_gibbs(GaussianFamily(data, priors, hp), hp, record_atoms,
                       lambda_tr=hp.lambda_tr, nu_tr=hp.nu_tr)

@@ -3,9 +3,11 @@
 Everything here deliberately avoids the code paths under test: subset
 searches are exhaustive, integrals are quadrature on grids, moments come
 from brute-force simulation, and partition scores enumerate candidates.
-The sequential references at the end are the one-at-a-time forms of the
-stacked computations (atom draws, densities, C-steps), written with scipy's
-checked wrappers, so the stacks can be held to their bits.
+The sequential references are the one-at-a-time forms of the stacked
+computations (atom draws, densities, C-steps), written with scipy's checked
+wrappers, so the stacks can be held to their bits.  The plain numpy forms at
+the end (fancy-index row gathers, numpy's own row sums, a stable argsort)
+pin the faster idioms that replace them to the same bits.
 """
 
 import itertools
@@ -364,3 +366,35 @@ def c_steps_one(X, idx, h, max_csteps, scatter, tol=1e-9):
         if converged:
             break
     return idx, mean, S, logdet, steps
+
+
+# ---------------------------------------------------------------------------
+# plain numpy forms of the fast Gaussian helpers
+# ---------------------------------------------------------------------------
+
+def block_distances_sum(D, factors, sizes):
+    """Squared Mahalanobis norms of the rows of D, the k-th run of sizes[k]
+    rows under the lower factor factors[k]: each run solved by scipy, and
+    every norm numpy's own sum over its row of squares."""
+    Z = np.array(D, dtype=float, order="C").T
+    lo = 0
+    for L, n in zip(factors, sizes):
+        if n:
+            Z[:, lo:lo + n] = solve_triangular(L, Z[:, lo:lo + n], lower=True)
+        lo += n
+    return np.multiply(Z, Z).sum(axis=0)
+
+
+def smallest_h_argsort(dist, h):
+    """The h smallest entries of each row, ties to the lowest index, as
+    increasing indices: the first h of a stable argsort, sorted."""
+    return np.sort(np.argsort(dist, axis=-1, kind="stable")[..., :h], axis=-1)
+
+
+def subset_moments_fancy(X, idx):
+    """Mean and covariance of the rows idx of X, or of each row of an (S, h)
+    stack of subsets, with the rows gathered by fancy indexing."""
+    dev = X[idx]
+    mean = dev.mean(axis=-2)
+    dev -= mean[..., None, :]
+    return mean, np.swapaxes(dev, -1, -2) @ dev / (idx.shape[-1] - 1)

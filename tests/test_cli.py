@@ -258,6 +258,48 @@ class TestErrorPaths:
         assert "phi and v must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("fit", "--s0-scale", "0"),
+        ("fit", "--s0-scale", "-1"),
+        ("fit", "--s0-scale", "nan"),
+        ("fit", "--s0-scale", "inf"),
+        ("fit", "--ppn-threshold", "-0.5"),
+        ("fit", "--ppn-threshold", "1.5"),
+        ("fit", "--ppn-threshold", "1"),
+        ("fit-functional", "--ppn-threshold", "-0.5"),
+        ("fit-functional", "--ppn-threshold", "1.5"),
+    ])
+    def test_bad_base_measure_or_threshold_stops_before_stage_one(
+            self, command, flag, value, sim_dir, tmp_path, capsys, monkeypatch):
+        """The base-measure scale and the ppn threshold are checked with the
+        chain settings: no priors are computed and no directory is made."""
+        def stage_one(*args, **kwargs):
+            raise AssertionError("Stage I ran before the settings were checked")
+
+        monkeypatch.setattr(cli, "extract_class_priors", stage_one)
+        monkeypatch.setattr(cli, "extract_functional_priors", stage_one)
+        out = tmp_path / "run"
+        code = run_cli(*_fit_argv(command, sim_dir, tmp_path), "--outdir", str(out),
+                       "--n-iter", "3", "--n-burnin", "1", flag, value)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert flag[2:] in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "0.999"])
+    def test_ppn_thresholds_in_the_unit_interval_are_accepted(self, value, tmp_path):
+        traces = _saved_chain(tmp_path, 2)
+        assert run_cli("summarize", "--chain-dir", str(traces), "--ppn-threshold", value) == 0
+        header = json.loads((tmp_path / "summary" / "ppcm.json").read_text())
+        assert header["ppn_threshold"] == float(value)
+
+    @pytest.mark.parametrize("value", ["-0.5", "1", "1.5", "nan"])
+    def test_bad_ppn_threshold_leaves_no_summary(self, value, tmp_path, capsys):
+        traces = _saved_chain(tmp_path, 2)
+        assert run_cli("summarize", "--chain-dir", str(traces), "--ppn-threshold", value) == 2
+        assert capsys.readouterr().err == "error: ppn-threshold must lie in [0, 1)\n"
+        assert not (tmp_path / "summary").exists()
+
     @pytest.mark.parametrize("command,line,key", [
         ("fit", "trace-format = csv", "trace-format"),
         ("fit", "n-iter = abc", "n-iter"),
@@ -385,9 +427,10 @@ class TestErrorPaths:
         (lambda meta: meta["arrays"]["beta_trace"].update(file=5), "metadata.json"),
         (lambda meta: meta.update(arrays=[]), "metadata.json"),
         (lambda meta: meta.update(n_known="2"), "integer"),
+        (lambda meta: meta.update(atoms=5), "metadata.json"),
         (lambda meta: "{not json", "metadata.json"),
     ], ids=["dtype-foo", "dtype-str", "shape-abc", "shape-negative", "shape-empty",
-            "file-number", "arrays-list", "n-known-str", "not-json"])
+            "file-number", "arrays-list", "n-known-str", "atoms-number", "not-json"])
     def test_malformed_chain_metadata_is_data_error(self, edit, message, tmp_path, capsys):
         traces = _saved_chain(tmp_path, 2)
         meta = json.loads((traces / "metadata.json").read_text())
@@ -396,6 +439,25 @@ class TestErrorPaths:
         assert run_cli("summarize", "--chain-dir", str(traces)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {traces / 'metadata.json'}: ") and message in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "summary").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "No such file or directory"),
+        ("{not json", "Expecting property name"),
+    ], ids=["missing", "not-json"])
+    def test_malformed_atoms_file_is_data_error(self, text, message, tmp_path, capsys):
+        """The atoms file a metadata.json names is read with the metadata's
+        checks: a missing or malformed file is a ParseError naming it."""
+        traces = _saved_chain(tmp_path, 2)
+        meta = json.loads((traces / "metadata.json").read_text())
+        meta["atoms"] = "atoms.json"
+        (traces / "metadata.json").write_text(json.dumps(meta))
+        if text is not None:
+            (traces / "atoms.json").write_text(text)
+        assert run_cli("summarize", "--chain-dir", str(traces)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {traces / 'atoms.json'}: ") and message in err
         assert err.count("\n") == 1
         assert not (tmp_path / "summary").exists()
 

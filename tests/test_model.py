@@ -16,6 +16,7 @@ from novelbayes.model import (
     PriorMoments,
     _alpha_of,
     _beta_of,
+    _block_distances,
     _chi2_cdf,
     _chi2_ppf,
     _cho_solve,
@@ -239,6 +240,23 @@ class TestLogGaussian:
         with pytest.raises(NotPositiveDefinite):
             _log_density(np.zeros(2), GaussianAtom(np.zeros(2), -np.eye(2)))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_block_norms_have_numpys_row_sums_bit_for_bit(self, p, order):
+        """Row by row along the long axis below p = 8, numpy's sum from
+        p = 8 on: the norms equal numpy's own sum over each row of squares,
+        on either side of the boundary and for either memory order."""
+        rng = np.random.default_rng(p)
+        sizes = [3, 0, 1, 90, 17]
+        A = rng.normal(size=(len(sizes), p, p))
+        factors = np.linalg.cholesky(A @ A.transpose(0, 2, 1) + p * np.eye(p))
+        N = sum(sizes)
+        D = np.asarray(rng.normal(size=(N, p)) * 10.0 ** rng.uniform(-3, 3, size=(N, p)),
+                       order=order)
+        want = oracles.block_distances_sum(D, factors, sizes)
+        got = _block_distances(D.copy(order="K"), factors, sizes)
+        assert got.shape == (N,) and np.array_equal(got, want)
+
 
 def _outcome(fn):
     """The value of fn(), or the type and message of what it raised."""
@@ -383,6 +401,14 @@ class TestChainSettings:
     def test_zero_atom_thin_rejected(self, cls):
         with pytest.raises(ValueError, match="atom_thin"):
             _settings(cls, atom_thin=0)
+
+    @pytest.mark.parametrize("scale", [np.zeros((2, 2)), -np.eye(2), np.diag([1.0, np.nan]),
+                                       np.array([[1.0, 2.0], [2.0, 1.0]])])
+    def test_base_measure_scale_must_be_positive_definite(self, scale):
+        """Checked once per fit: every empty novelty slot draws from it."""
+        with pytest.raises(ValueError, match="s0-scale"):
+            Hyperparameters(a=np.array([0.1, 0.9]), lambda_tr=10.0, nu_tr=10.0,
+                            base_measure=NIWParams(np.zeros(2), 0.01, 6.0, scale))
 
 
 class TestPriorMoments:

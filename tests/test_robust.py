@@ -303,6 +303,51 @@ class TestStackedCSteps:
         assert fast_mcd(F, cfg).to_dict() == fast_mcd(X, cfg).to_dict()
 
 
+class TestSubsetChoice:
+    """The subset helpers give the bits of their plain numpy forms."""
+
+    @pytest.mark.parametrize("shape", [(9,), (1, 9), (6, 9), (0, 9), (4, 300)])
+    @pytest.mark.parametrize("kind", ["distinct", "ties", "all-equal", "inf"])
+    def test_smallest_h_equals_the_stable_argsort(self, shape, kind):
+        """Every d below the h-th smallest value, then the lowest-index ties
+        at it: the subsets of a stable argsort, for h = 1 to n."""
+        rng = np.random.default_rng(shape[-1] + len(shape))
+        dist = {"distinct": lambda: rng.random(shape),
+                "ties": lambda: rng.integers(0, 3, shape).astype(float),
+                "all-equal": lambda: np.full(shape, 2.5),
+                "inf": lambda: np.where(rng.random(shape) < 0.4, np.inf,
+                                        rng.integers(0, 4, shape))}[kind]()
+        n = shape[-1]
+        for h in sorted({1, 2, n // 2, n - 1, n}):
+            got = robust._smallest_h(dist, h)
+            want = oracles.smallest_h_argsort(dist, h)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_smallest_h_equals_the_stable_argsort_on_random_rows(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            shape = (int(rng.integers(1, 5)), n) if rng.random() < 0.7 else (n,)
+            dist = rng.integers(0, int(rng.integers(1, 6)), shape).astype(float)
+            dist[rng.random(shape) < 0.1] = np.inf
+            h = int(rng.integers(1, n + 1))
+            assert np.array_equal(robust._smallest_h(dist, h),
+                                  oracles.smallest_h_argsort(dist, h))
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_subset_moments_of_column_major_rows(self, stacked):
+        """Row-major and column-major data give the moments of the
+        fancy-index gather, for one subset and for a stack of them."""
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(300, 2)) * [3.0, 0.5] + 1.0
+        idx = np.sort(rng.permuted(np.tile(np.arange(300), (27, 1)), axis=1)[:, :225], axis=1)
+        idx = idx if stacked else idx[0]
+        want = oracles.subset_moments_fancy(X, idx)
+        for data in (X, np.asfortranarray(X)):
+            mean, cov = robust._subset_moments(data, idx)
+            assert np.array_equal(mean, want[0]) and np.array_equal(cov, want[1])
+
+
 class TestExtractClassPriors:
     def test_single_class_no_trimming(self):
         rng = np.random.default_rng(7)

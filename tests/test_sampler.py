@@ -317,6 +317,29 @@ def test_prefix_densities_equal_full_columns_bit_for_bit(p, M):
     assert np.all(got[~eligible] == -np.inf)
 
 
+@pytest.mark.parametrize("p", [2, 9])
+def test_column_major_data_give_the_row_major_densities_and_atoms(p):
+    """The row gathers copy column-major data into the row-major blocks the
+    densities and the NIW posteriors read, so both keep their bits."""
+    rng = np.random.default_rng(30 + p)
+    M = 400
+    data = rng.normal(size=(M, p)) * 3.0
+    base = NIWParams(np.zeros(p), 0.1, p + 2.0, np.eye(p))
+    atoms = _atoms([base] * 6, rng)
+    xi = xi_values(0.5, 2, 6)
+    stair = _staircase(rng.random(M) * xi[2], xi)
+    row_major, column_major = _family(data, 2), _family(np.asfortranarray(data), 2)
+    assert column_major.data.flags.f_contiguous and not column_major.data.flags.c_contiguous
+    cells = row_major.loglik(atoms[:2], atoms[2:], stair)
+    assert np.array_equal(column_major.loglik(atoms[:2], atoms[2:], stair), cells)
+    zeta = rng.integers(1, 7, size=M)
+    members = sampler._members(zeta, np.bincount(zeta, minlength=7))
+    want = row_major.draw_atoms(members, atoms[:2], [], np.random.default_rng(3))
+    got = column_major.draw_atoms(members, atoms[:2], [], np.random.default_rng(3))
+    for a, b in zip(got[0] + got[1], want[0] + want[1], strict=True):
+        assert np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
+
+
 @pytest.mark.parametrize("bad, error", [(-np.eye(2), NotPositiveDefinite),
                                         (np.diag([np.nan, 1.0]), ValueError),
                                         (np.diag([np.inf, 1.0]), ValueError)])
