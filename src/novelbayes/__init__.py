@@ -37,7 +37,6 @@ from .functional import (
 )
 from .model import (
     GammaPrior,
-    GaussianAtom,
     Hyperparameters,
     NIWParams,
     PriorMoments,
@@ -74,6 +73,7 @@ from .robust import (
 from .sampler import (
     ChainOutput,
     ChainState,
+    NIWStack,
     TestDataset,
     gibbs_step,
     niw_atoms,

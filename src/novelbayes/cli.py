@@ -124,6 +124,8 @@ def _summary_options(cfg) -> dict:
     options = _given(cfg, "ppn_threshold", "min_size")
     if not 0.0 <= options.get("ppn_threshold", 0.0) < 1.0:
         raise ValueError("ppn-threshold must lie in [0, 1)")
+    if options.get("min_size", 1) < 1:
+        raise ValueError("min-size must be at least 1")
     return options
 
 
@@ -231,9 +233,12 @@ def _cmd_summarize(cfg) -> int:
 
 
 def _cmd_metrics(cfg) -> int:
+    n_known = _get(cfg, "n-known")
+    if n_known < 1:
+        raise ValueError("n-known must be at least 1")
     labels = nio.load_labels(cfg["labels"], column=1, has_header=True)
     truth = nio.load_labels(cfg["truth"])
-    known = list(range(1, _get(cfg, "n-known") + 1))
+    known = list(range(1, n_known + 1))
     out = {
         "ari": ari(labels, truth),
         "novelty_precision": novelty_precision(labels, truth, known),

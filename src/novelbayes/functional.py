@@ -365,11 +365,12 @@ class CurveFamily:
         sigma2 = _sample_ig(rng, *sigma2_conditional(sq, n, hyper.a_H, hyper.b_H))
         return FunctionalNovelAtom(rho=rho, psi=psi, tau2=tau2, sigma2=sigma2, curve=curve)
 
-    def draw_atoms(self, members: list, known: list, novel: list, rng) -> tuple:
+    def draw_atoms(self, order, counts, known: list, novel: list, moved: list, rng) -> tuple:
         J = len(known)
+        members = [order[hi - n:hi] for hi, n in zip(np.cumsum(counts).tolist(), counts.tolist())]
         return ([self.draw_known(j, rows, atom, rng)
                  for j, (rows, atom) in enumerate(zip(members[:J], known))],
-                [self.draw_novel(rows, novel[h] if h < len(novel) else None, rng)
+                [self.draw_novel(rows, novel[moved[h]] if h < len(moved) else None, rng)
                  for h, rows in enumerate(members[J:])])
 
     def loglik(self, known: list, novel: list, stair: Staircase) -> np.ndarray:

@@ -61,21 +61,6 @@ class NIWParams:
         return self.mean.size
 
 
-@dataclass
-class GaussianAtom:
-    """A mixture component: mean vector and SPD covariance."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float).ravel()
-        self.cov = np.asarray(self.cov, dtype=float)
-
-    def to_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "cov": self.cov.ravel().tolist()}
-
-
 @dataclass(frozen=True)
 class GammaPrior:
     """Gamma(shape, rate) hyperprior for the DP concentration parameter."""
@@ -164,6 +149,8 @@ class Hyperparameters(ChainSettings):
         super().__post_init__()
         if self.lambda_tr <= 0:
             raise ValueError("lambda_tr must be positive")
+        if self.nu_tr <= self.base_measure.dim + 1:
+            raise ValueError("nu_tr (nu-tr) must exceed p + 1 for the training priors")
         try:  # an empty novelty slot draws from the base measure itself
             _chol(self.base_measure.scale_matrix)
         except (NotPositiveDefinite, ValueError):

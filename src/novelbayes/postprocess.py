@@ -295,6 +295,8 @@ def summarize(output: ChainOutput, ppn_threshold: float = 0.5,
     units = np.flatnonzero(probs > ppn_threshold)
     if min_size is None:
         min_size = default_min_size(output.n_units)
+    elif min_size < 1:
+        raise ValueError("min_size must be at least 1")
 
     if units.size:
         P = coclustering(zeta, J, units)

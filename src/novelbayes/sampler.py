@@ -19,11 +19,13 @@ as ``data`` (one row per unit) and provides
 - ``initial_known()`` and ``start_distances()``: the starting known atoms,
   and an (M, J) matrix of distances that are chi-square under the known
   classes with the returned degrees of freedom;
-- ``draw_atoms(members, known, novel, rng)``: the scan's atoms as the
-  pair (known atoms, novelty atoms), from the increasing row indices of
-  each slot's members (the J known classes, then the novelty slots) and the
-  previous atoms (a novelty slot past the end of ``novel`` has none), so a
-  family may draw all slots at once;
+- ``draw_atoms(order, counts, known, novel, moved, rng)``: the scan's
+  atoms as the pair (known atoms, novelty atoms).  ``order`` is the units
+  sorted stably by slot, so slot l's members are a run of ``counts[l]``
+  increasing row indices (the J known classes, then the novelty slots);
+  ``known`` and ``novel`` are the previous atoms, and the previous atom of
+  novelty slot h is ``novel[moved[h]]`` after the label swap (a slot past
+  the end of ``moved`` has none).  A family may draw all slots at once;
 - ``loglik(known, novel, stair)``: the log-likelihood of the units under
   the atoms on the eligible cells u_m < xi_l only, in the order of the
   scan's :class:`Staircase`: column by column, the eligible units in
@@ -50,7 +52,6 @@ import numpy as np
 from .errors import AllSlicesEmpty, DimensionMismatch
 from .model import (
     ChainSettings,
-    GaussianAtom,
     Hyperparameters,
     NIWParams,
     _alpha_of,
@@ -92,8 +93,8 @@ class ChainState:
 
     pi: np.ndarray
     v: np.ndarray
-    known_atoms: list
-    novel_atoms: list
+    known_atoms: object  # in the atom family's form
+    novel_atoms: object
     zeta: np.ndarray
     u: np.ndarray
     L_star: int
@@ -180,28 +181,55 @@ class ChainOutput:
 # conjugate pieces
 # ---------------------------------------------------------------------------
 
-def niw_posterior(prior: NIWParams, obs: np.ndarray) -> NIWParams:
-    """Normal-inverse-Wishart posterior after observing ``obs`` rows.
+class NIWStack(NamedTuple):
+    """Normal-inverse-Wishart laws (as in :class:`~novelbayes.model.NIWParams`)
+    stacked: means (K, p), precision scales (K,), degrees of freedom (K,)
+    and scale matrices (K, p, p)."""
+
+    mean: np.ndarray
+    precision_scale: np.ndarray
+    dof: np.ndarray
+    scale_matrix: np.ndarray
+
+    @classmethod
+    def of(cls, laws) -> NIWStack:
+        return cls(*(np.array([getattr(law, name) for law in laws], dtype=float)
+                     for name in cls._fields))
+
+
+def niw_posterior(prior: NIWStack, X: np.ndarray, sizes) -> NIWStack:
+    """Normal-inverse-Wishart posteriors of a stack of laws: law k after
+    observing the k-th run of ``sizes[k]`` rows of the C-ordered block X.
 
     With n observations of mean xbar and centered scatter Sx:
     lambda' = lambda + n, nu' = nu + n,
     m' = (lambda m + n xbar) / (lambda + n),
     S' = S + Sx + lambda n / (lambda + n) (xbar - m)(xbar - m)^T.
-    n = 0 returns the prior unchanged.
+    A law with an empty run keeps its prior row.  Each run's column sum and
+    scatter are the one-law calls on a slice of the block, and the rest is
+    elementwise on the stacks, so every row has the bits of a one-law update.
     """
-    obs = np.atleast_2d(np.asarray(obs, dtype=float))
-    n = obs.shape[0] if obs.size else 0
-    if n == 0:
+    sizes = np.asarray(sizes)
+    if sizes.shape != prior.dof.shape or sizes.sum() != len(X):
+        raise DimensionMismatch("sizes must give one run per law and add up to the rows of X")
+    ks = np.flatnonzero(sizes)
+    if ks.size == 0:
         return prior
-    xbar = obs.sum(axis=0) / n  # the bits of obs.mean(axis=0)
-    dev = obs - xbar
-    Sx = dev.T @ dev
-    lam_n = prior.precision_scale + n
-    mean = (prior.precision_scale * prior.mean + n * xbar) / lam_n
-    diff = xbar - prior.mean
-    scale = prior.scale_matrix + Sx \
-        + (prior.precision_scale * n / lam_n) * (diff[:, None] * diff)  # np.outer's bits
-    return NIWParams(mean, lam_n, prior.dof + n, scale)
+    n = sizes[ks]
+    runs = [slice(hi - m, hi) for hi, m in zip(np.cumsum(n).tolist(), n.tolist())]
+    xbar = np.array([X[run].sum(axis=0) for run in runs]) / n[:, None]  # obs.mean's bits
+    dev = X - np.repeat(xbar, n, axis=0)
+    m, lam, dof, S = (a[ks] for a in prior)
+    lam_n = lam + n
+    diff = xbar - m
+    post = NIWStack(*(a.copy() for a in prior))
+    post.mean[ks] = (lam[:, None] * m + n[:, None] * xbar) / lam_n[:, None]
+    post.precision_scale[ks] = lam_n
+    post.dof[ks] = dof + n
+    outer = diff[:, :, None] * diff[:, None, :]  # np.outer's bits
+    post.scale_matrix[ks] = S + np.array([dev[run].T @ dev[run] for run in runs]) \
+        + (lam * n / lam_n)[:, None, None] * outer
+    return post
 
 
 @cache
@@ -210,37 +238,42 @@ def _strict_lower(p: int):
     return np.tril_indices(p, -1)
 
 
-def sample_niw(law: NIWParams, rng: np.random.Generator):
-    """The random part of one draw from an NIW law: the lower Bartlett
-    factor A of a Wishart(nu, I) draw (one scalar chi-square draw per
-    diagonal entry, then normals below it) and the standard normal noise z
-    of the mean, in that order.  :func:`niw_atoms` makes the atoms."""
-    p = law.dim
-    A = np.zeros((p, p))
-    for i in range(p):  # scalar draws: the calls and values of an array draw
-        A[i, i] = math.sqrt(rng.chisquare(law.dof - i))
-    normals = rng.standard_normal(p * (p - 1) // 2 + p)
-    A[_strict_lower(p)] = normals[:-p]
-    return A, normals[-p:]
+def sample_niw(dof: float, chi2: np.ndarray, normals: np.ndarray,
+               rng: np.random.Generator) -> None:
+    """The random part of one draw from an NIW law of ``dof`` degrees of
+    freedom, written into the rows ``chi2`` (p) and ``normals`` (p (p + 1) / 2):
+    p scalar chi-square draws, the squared diagonal of the lower Bartlett
+    factor A of a Wishart(nu, I) draw, then the normals below that diagonal
+    and the standard normal noise z of the mean in one call, in that order.
+    :func:`niw_atoms` makes the atoms."""
+    for i in range(chi2.size):  # scalar draws: the calls and values of an array draw
+        chi2[i] = rng.chisquare(dof - i)
+    rng.standard_normal(out=normals)  # the doubles of standard_normal(normals.size)
 
 
-def niw_atoms(laws: list, draws: list) -> list:
-    """The atoms (mean, cov) of NIW laws from their :func:`sample_niw`
-    draws (A, z): cov = C (A A^T)^{-1} C^T ~ inverse-Wishart(nu, S) and
-    mean = m + C A^{-T} z / sqrt(lambda) ~ N(m, cov / lambda), with C the
-    Cholesky factor of S.  Every covariance is SPD by construction and
-    E[cov] = S / (nu - p - 1).  The factors of the scale matrices and the
-    products are one stacked call each, with the bits of one-law calls;
-    only the triangular solves go law by law.
+def niw_atoms(laws: NIWStack, rng: np.random.Generator) -> tuple:
+    """The atoms (means (K, p), covs (K, p, p)) of a stack of NIW laws, drawn
+    law by law with :func:`sample_niw`: cov = C (A A^T)^{-1} C^T ~
+    inverse-Wishart(nu, S) and mean = m + C A^{-T} z / sqrt(lambda) ~
+    N(m, cov / lambda), with C the Cholesky factor of S.  Every covariance is
+    SPD by construction and E[cov] = S / (nu - p - 1).  The Bartlett factors,
+    the factors of the scale matrices and the products are one stacked call
+    each, with the bits of one-law calls; only the triangular solves go law
+    by law.
     """
-    C = _chol(np.array([law.scale_matrix for law in laws]))
-    M = np.array([_solve_triangular(A, c.T).T for (A, _), c in zip(draws, C)])  # C A^{-T}
+    K, p = laws.mean.shape
+    chi2, normals = np.empty((K, p)), np.empty((K, p * (p + 1) // 2))
+    for dof, c, z in zip(laws.dof.tolist(), chi2, normals):
+        sample_niw(dof, c, z, rng)
+    A = np.zeros((K, p, p))
+    A[:, range(p), range(p)] = np.sqrt(chi2)  # math.sqrt's bits
+    A[(slice(None), *_strict_lower(p))] = normals[:, :-p]
+    C = _chol(laws.scale_matrix)
+    M = np.array([_solve_triangular(a, c.T).T for a, c in zip(A, C)])  # C A^{-T}
     cov = M @ M.transpose(0, 2, 1)
     cov = 0.5 * (cov + cov.transpose(0, 2, 1))
-    z = np.array([noise for _, noise in draws])
-    scale = np.sqrt([law.precision_scale for law in laws])[:, None]
-    means = np.array([law.mean for law in laws]) + (M @ z[:, :, None])[:, :, 0] / scale
-    return [GaussianAtom(mean, c) for mean, c in zip(means, cov)]
+    scale = np.sqrt(laws.precision_scale)[:, None]
+    return laws.mean + (M @ normals[:, -p:, None])[:, :, 0] / scale, cov
 
 
 def update_gamma(current: float, n_novel: int, k_novel: int,
@@ -394,14 +427,6 @@ def _sample_allocations(rng, log_lik, weights, u, xi, stair: Staircase) -> np.nd
     return col[best] + 1
 
 
-def _members(labels: np.ndarray, counts: np.ndarray) -> list:
-    """Increasing row indices of each label 1..n, from one stable sort;
-    ``counts`` is ``np.bincount(labels)`` padded to length n + 1."""
-    order = np.argsort(labels, kind="stable")
-    bounds = np.cumsum(counts).tolist()
-    return [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
 def _training_niw(summary: RobustClassSummary, hp: Hyperparameters) -> NIWParams:
     """Informative NIW for a known class, centered on the robust estimates.
 
@@ -410,8 +435,6 @@ def _training_niw(summary: RobustClassSummary, hp: Hyperparameters) -> NIWParams
     then concentrates the prior on the robust estimates themselves.
     """
     p = summary.mean.size
-    if hp.nu_tr <= p + 1:
-        raise ValueError("nu_tr must exceed p + 1 for the training priors")
     return NIWParams(summary.mean, hp.lambda_tr, hp.nu_tr,
                      (hp.nu_tr - p - 1) * summary.scatter)
 
@@ -423,40 +446,40 @@ def _training_niw(summary: RobustClassSummary, hp: Hyperparameters) -> NIWParams
 class GaussianFamily:
     """Gaussian atoms: NIW priors centred on the Stage-I estimates for the
     known classes (frozen at those estimates in inductive mode) and the NIW
-    base measure for novelty slots."""
+    base measure for novelty slots.  Atoms are (means, covs) stacks."""
 
     def __init__(self, data: TestDataset, priors: list, hp: Hyperparameters):
         self.data = data.data
         self.priors = priors
-        self.base_measure = hp.base_measure
-        # building the training NIWs validates nu_tr against the dimension
-        self.known_niw = None if hp.frozen_known_atoms \
-            else [_training_niw(s, hp) for s in priors]
+        self.frozen = hp.frozen_known_atoms
+        # the laws drawn from: the training NIWs (none when frozen), then the base measure
+        training = [] if self.frozen else [_training_niw(s, hp) for s in priors]
+        self.laws = NIWStack.of(training + [hp.base_measure])
 
-    def initial_known(self) -> list:
-        return [GaussianAtom(s.mean, s.scatter) for s in self.priors]
+    def initial_known(self) -> tuple:
+        return (np.array([s.mean for s in self.priors]),
+                np.array([s.scatter for s in self.priors]))
 
     def start_distances(self):
-        d2 = _sq_distances(self.data, np.array([s.mean for s in self.priors]),
-                           np.array([s.scatter for s in self.priors]))
+        d2 = _sq_distances(self.data, *self.initial_known())
         return d2.T, self.data.shape[1]
 
-    def draw_atoms(self, members: list, known: list, novel: list, rng) -> tuple:
-        """Every slot's atom from its members' rows, the random draws slot
-        by slot and the atoms from them in one stack: known atoms from their
-        training NIW posteriors (kept as they are when frozen), novelty atoms
-        from the base-measure posterior (an unoccupied slot from the base
-        measure itself)."""
-        J = len(known)
-        laws = [] if self.known_niw is None else \
-            [niw_posterior(law, np.take(self.data, rows, axis=0))
-             for law, rows in zip(self.known_niw, members[:J])]
-        laws += [niw_posterior(self.base_measure, np.take(self.data, rows, axis=0)) if rows.size
-                 else self.base_measure for rows in members[J:]]
-        atoms = niw_atoms(laws, [sample_niw(law, rng) for law in laws])
-        return (known, atoms) if self.known_niw is None else (atoms[:J], atoms[J:])
+    def draw_atoms(self, order, counts, known: tuple, novel: tuple, moved: list, rng) -> tuple:
+        """Every slot's atom from its members' rows: one posterior pass over
+        the stacked laws, then :func:`niw_atoms`.  Known atoms come from
+        their training NIW posteriors (kept as they are when frozen), novelty
+        atoms from the base-measure posterior (an unoccupied slot from the
+        base measure itself).  The previous novelty atoms are not read."""
+        J = self.laws.dof.size - 1  # the known slots drawn, none when frozen
+        first = len(self.priors) - J  # the first slot drawn
+        drawn = counts[first:]
+        law = np.minimum(np.arange(drawn.size), J)  # the base measure past the known slots
+        rows = np.take(self.data, order[int(counts[:first].sum()):], axis=0)
+        means, covs = niw_atoms(niw_posterior(NIWStack(*(a[law] for a in self.laws)), rows,
+                                              drawn), rng)
+        return (known if self.frozen else (means[:J], covs[:J])), (means[J:], covs[J:])
 
-    def loglik(self, known: list, novel: list, stair: Staircase) -> np.ndarray:
+    def loglik(self, known: tuple, novel: tuple, stair: Staircase) -> np.ndarray:
         """Densities on the eligible cells of ``stair``.
 
         Every column's rows are gathered into one block and its densities
@@ -466,10 +489,9 @@ class GaussianFamily:
         from that row of a many-row solve, while any block of two or more
         rows reproduces it exactly (a chain of one unit has only the one
         row); the padding row is dropped from the result."""
-        atoms = known + novel
         order, n_rows = stair.order, stair.n_rows
-        means = np.asarray_chkfinite([a.mean for a in atoms])
-        factors = _chol(np.array([a.cov for a in atoms]))
+        means = np.asarray_chkfinite(np.concatenate([known[0], novel[0]]))
+        factors = _chol(np.concatenate([known[1], novel[1]]))
         cols = np.flatnonzero(n_rows)
         sizes = np.maximum(n_rows[cols], min(2, order.size))
         rows = _runs(sizes)
@@ -477,9 +499,10 @@ class GaussianFamily:
                                          factors[cols], sizes)
         return dens[rows < np.repeat(n_rows[cols], sizes)]
 
-    def snapshot(self, known: list, novel: list) -> dict:
-        return {"known": [a.to_dict() for a in known],
-                "novel": [a.to_dict() for a in novel]}
+    def snapshot(self, known: tuple, novel: tuple) -> dict:
+        return {name: [{"mean": mean.tolist(), "cov": cov.ravel().tolist()}
+                       for mean, cov in zip(*atoms)]
+                for name, atoms in (("known", known), ("novel", novel))}
 
 
 # ---------------------------------------------------------------------------
@@ -496,11 +519,12 @@ def gibbs_step(state: ChainState, family, hp: ChainSettings,
     """
     J = hp.n_known
     kappa = hp.kappa
-    zeta, v, prev = state.zeta.copy(), state.v.copy(), list(state.novel_atoms)
+    zeta, v, moved = state.zeta.copy(), state.v.copy(), list(range(state.v.size))
     M = zeta.size
 
-    # 0. label swap: clusters, atoms and sticks move together
-    _label_swap_sweep(zeta, prev, v, J, rng)
+    # 0. label swap: clusters and sticks move together; moved[k] is the
+    # stick, and so the previous novelty atom, that now sits at position k
+    _label_swap_sweep(zeta, moved, v, J, rng)
 
     # 1. slice variables under the current memberships
     xi_cur = xi_values(kappa, J, int(zeta.max(initial=J + 1)))
@@ -523,7 +547,8 @@ def gibbs_step(state: ChainState, family, hp: ChainSettings,
     pitilde = np.concatenate([pi[1:], pi[0] * stick_breaking(v)])
 
     # 7-8. known-class atoms, then novelty atoms, each from its members
-    known, novel = family.draw_atoms(_members(zeta, counts), state.known_atoms, prev, rng)
+    known, novel = family.draw_atoms(np.argsort(zeta, kind="stable"), counts[1:],
+                                     state.known_atoms, state.novel_atoms, moved, rng)
 
     # 9. allocation over eligible components
     if M:

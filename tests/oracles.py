@@ -17,6 +17,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from novelbayes.errors import NumericalError, SingularSubset
+from novelbayes.model import NIWParams
 from novelbayes.postprocess import vi_score
 
 
@@ -246,6 +247,24 @@ def niw_joint_logpdf(mu, s2, m, lam, nu, S):
 # ---------------------------------------------------------------------------
 # sequential references of the stacked computations
 # ---------------------------------------------------------------------------
+
+def niw_posterior_one(prior, obs):
+    """Normal-inverse-Wishart posterior of one law after observing ``obs``
+    rows, in the per-law form; n = 0 returns the prior unchanged."""
+    obs = np.atleast_2d(np.asarray(obs, dtype=float))
+    n = obs.shape[0] if obs.size else 0
+    if n == 0:
+        return prior
+    xbar = obs.sum(axis=0) / n
+    dev = obs - xbar
+    Sx = dev.T @ dev
+    lam_n = prior.precision_scale + n
+    mean = (prior.precision_scale * prior.mean + n * xbar) / lam_n
+    diff = xbar - prior.mean
+    scale = prior.scale_matrix + Sx \
+        + (prior.precision_scale * n / lam_n) * (diff[:, None] * diff)
+    return NIWParams(mean, lam_n, prior.dof + n, scale)
+
 
 def sample_niw_one(law, rng):
     """One NIW draw as (mean, cov), the Bartlett way, one law at a time:

@@ -259,7 +259,7 @@ def test_criterion_7_conjugacy_oracles():
     # multivariate NIW, p = 1 reduction, 2-point dataset
     prior = NIWParams([0.5], 2.0, 5.0, [[2.0]])
     obs = np.array([[1.2], [0.4]])
-    post = nb.niw_posterior(prior, obs)
+    post = NIWParams(*(a[0] for a in nb.niw_posterior(nb.NIWStack.of([prior]), obs, [2])))
     mus = np.linspace(-2.0, 3.0, 501)
     s2s = np.linspace(0.02, 6.0, 499)
     MU, S2 = np.meshgrid(mus, s2s, indexing="ij")

@@ -268,11 +268,16 @@ class TestErrorPaths:
         ("fit", "--ppn-threshold", "1"),
         ("fit-functional", "--ppn-threshold", "-0.5"),
         ("fit-functional", "--ppn-threshold", "1.5"),
+        ("fit", "--min-size", "0"),
+        ("fit", "--min-size", "-3"),
+        ("fit-functional", "--min-size", "0"),
+        ("fit", "--nu-tr", "3"),
     ])
     def test_bad_base_measure_or_threshold_stops_before_stage_one(
             self, command, flag, value, sim_dir, tmp_path, capsys, monkeypatch):
-        """The base-measure scale and the ppn threshold are checked with the
-        chain settings: no priors are computed and no directory is made."""
+        """The base-measure scale, nu-tr (which must exceed p + 1 = 3), the
+        ppn threshold and min-size are checked with the chain settings: no
+        priors are computed and no directory is made."""
         def stage_one(*args, **kwargs):
             raise AssertionError("Stage I ran before the settings were checked")
 
@@ -299,6 +304,25 @@ class TestErrorPaths:
         assert run_cli("summarize", "--chain-dir", str(traces), "--ppn-threshold", value) == 2
         assert capsys.readouterr().err == "error: ppn-threshold must lie in [0, 1)\n"
         assert not (tmp_path / "summary").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_min_size_below_one_leaves_no_summary(self, value, tmp_path, capsys):
+        traces = _saved_chain(tmp_path, 2)
+        assert run_cli("summarize", "--chain-dir", str(traces), "--min-size", value) == 2
+        assert capsys.readouterr().err == "error: min-size must be at least 1\n"
+        assert not (tmp_path / "summary").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_n_known_below_one_is_data_error(self, value, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("unit,label\n0,1\n1,-1\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("1\n4\n")
+        out = tmp_path / "metrics.json"
+        assert run_cli("metrics", "--labels", str(labels), "--truth", str(truth),
+                       "--n-known", value, "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: n-known must be at least 1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,line,key", [
         ("fit", "trace-format = csv", "trace-format"),

@@ -92,6 +92,31 @@ def _no_test_rows():
                      _hyper(gamma=GammaPrior(1.0, 1.0), seed=106), record_atoms=True)
 
 
+def _dim_chain(p):
+    """A non-frozen chain in p dimensions (two known classes, one unseen)
+    with its atoms recorded: its posterior scatters are p x p."""
+    rng = np.random.default_rng(110 + p)
+    means = np.zeros((3, p))
+    means[1, 0], means[2] = 6.0, -7.0
+    train_x = np.vstack([rng.normal(m, 1.0, (25, p)) for m in means[:2]])
+    test_x = np.vstack([rng.normal(m, 1.0, (n, p)) for m, n in zip(means, (15, 15, 8))])
+    priors = extract_class_priors(LabeledDataset(train_x, np.repeat([1, 2], 25)),
+                                  McdConfig(eta=0.75, n_starts=20, seed=111))
+    hp = Hyperparameters.with_class_weights(
+        [25, 25], a0=0.5, lambda_tr=10.0, nu_tr=p + 8.0,
+        base_measure=NIWParams(np.zeros(p), 0.01, p + 4.0, 10 * np.eye(p)),
+        gamma=GammaPrior(2.0, 1.0), n_iter=60, n_burnin=30, seed=112, atom_thin=7)
+    return run_chain(TestDataset(test_x), priors, hp, record_atoms=True)
+
+
+def _one_dim():
+    return _dim_chain(1)
+
+
+def _seven_dims():
+    return _dim_chain(7)
+
+
 def _curve_problem():
     rng = np.random.default_rng(201)
     grid = np.linspace(0, 1, 30)
@@ -126,6 +151,8 @@ GOLDEN = [
     (_fixed_gamma, "65419d46d7a97a3d8e58526e9c0ef69b95a70c09baeb523cf8ad595beb31d7d3"),
     (_frozen_known, "733665d0bb74400062e64354a76ad8df5baa663e098ef14d62f402fae822c6e2"),
     (_no_test_rows, "ce8d02a5f4fa05a8c1918c83731b89568d7c8fef0646a74e2ce1e4d666f35a23"),
+    (_one_dim, "a36739824976bce24b2cd989bc924f3ae6f51138296f8637b65ee2080b4d1fba"),
+    (_seven_dims, "d259c03ad4e5bc5fa9d5d02967e0c7c096d5cdeafbf524f019c60b68488e42d1"),
     (_curves_frozen, "1e9e91d27f9969ef390b56fc9f471144bb82ca3c0ef1c1c3b3bca8386061ed95"),
     (_curves_transductive, "558bdfc42898a85c1c64cb04a2abaedb967fa0859a499fb6ae492ac0e8f3c347"),
 ]

@@ -10,7 +10,6 @@ from scipy.stats import chi2
 from novelbayes.errors import EmptySlice, NotPositiveDefinite
 from novelbayes.functional import FunctionalHyper
 from novelbayes.model import (
-    GaussianAtom,
     Hyperparameters,
     NIWParams,
     PriorMoments,
@@ -154,23 +153,21 @@ class TestMembershipMapping:
             _from_labels(np.array([1]), np.array([1]), 3)
 
 
-def _log_density(x, atom):
+def _log_density(x, mean, cov):
     """log N(x; mean, cov) of one point: a one-row run of
-    log_gaussian_density_many under the atom's checked factor."""
+    log_gaussian_density_many under the checked factor of cov."""
     x = np.asarray(x, dtype=float).reshape(1, -1)
-    return float(log_gaussian_density_many(x, np.asarray_chkfinite(atom.mean)[None],
-                                           _chol(atom.cov)[None], [1])[0])
+    return float(log_gaussian_density_many(x, np.asarray_chkfinite(mean, dtype=float)[None],
+                                           _chol(np.asarray(cov, dtype=float))[None], [1])[0])
 
 
 class TestLogGaussian:
     def test_standard_normal_mode(self):
-        atom = GaussianAtom(np.zeros(1), np.eye(1))
-        assert _log_density(np.zeros(1), atom) == pytest.approx(
+        assert _log_density(np.zeros(1), np.zeros(1), np.eye(1)) == pytest.approx(
             -0.5 * math.log(2 * math.pi), abs=1e-12)
 
     def test_bivariate_identity(self):
-        atom = GaussianAtom(np.zeros(2), np.eye(2))
-        assert _log_density(np.array([1.0, 1.0]), atom) == pytest.approx(
+        assert _log_density(np.array([1.0, 1.0]), np.zeros(2), np.eye(2)) == pytest.approx(
             -math.log(2 * math.pi) - 1.0, abs=1e-12)
 
     def test_extended_precision_oracle(self):
@@ -198,7 +195,7 @@ class TestLogGaussian:
         mean = np.array([1.0, -1.0])
         X = rng.normal(size=(20, 2))
         batch = log_gaussian_density_many(X, mean[None], np.linalg.cholesky(cov)[None], [20])
-        single = [_log_density(x, GaussianAtom(mean, cov)) for x in X]
+        single = [_log_density(x, mean, cov) for x in X]
         assert batch == pytest.approx(single, rel=1e-13)
 
     @pytest.mark.parametrize("p", [1, 2, 8, 9, 12])
@@ -238,7 +235,7 @@ class TestLogGaussian:
 
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefinite):
-            _log_density(np.zeros(2), GaussianAtom(np.zeros(2), -np.eye(2)))
+            _log_density(np.zeros(2), np.zeros(2), -np.eye(2))
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("p", range(1, 13))
@@ -343,8 +340,7 @@ class TestSolveLower:
         cov = np.array([[bad, 0.0], [0.0, 1.0]])
         L = np.linalg.cholesky(cov)  # numpy passes the NaN or inf through
         want = _outcome(lambda: solve_triangular(L, np.ones((2, 3)), lower=True))
-        atom = GaussianAtom(np.zeros(2), cov)
-        assert _outcome(lambda: _log_density(np.ones(2), atom)) == want
+        assert _outcome(lambda: _log_density(np.ones(2), np.zeros(2), cov)) == want
         assert _outcome(lambda: _chol(np.stack([np.eye(2), cov]))) == want
 
 
@@ -409,6 +405,17 @@ class TestChainSettings:
         with pytest.raises(ValueError, match="s0-scale"):
             Hyperparameters(a=np.array([0.1, 0.9]), lambda_tr=10.0, nu_tr=10.0,
                             base_measure=NIWParams(np.zeros(2), 0.01, 6.0, scale))
+
+    @pytest.mark.parametrize("p", [1, 2, 7])
+    def test_nu_tr_must_exceed_p_plus_one(self, p):
+        """Checked once per fit, with p from the base measure."""
+        def settings(nu_tr):
+            return Hyperparameters(a=np.array([0.1, 0.9]), lambda_tr=10.0, nu_tr=nu_tr,
+                                   base_measure=NIWParams(np.zeros(p), 0.01, p + 4.0,
+                                                          np.eye(p)))
+        with pytest.raises(ValueError, match="nu-tr"):
+            settings(p + 1.0)
+        assert settings(np.nextafter(p + 1.0, np.inf)).nu_tr > p + 1
 
 
 class TestPriorMoments:

@@ -428,6 +428,11 @@ class TestSummarize:
         assert summ.labels[2] == summ.labels[3] != summ.labels[4]
         assert np.array_equal(summ.anomaly_flags, [False, False, True])
 
+    @pytest.mark.parametrize("min_size", [0, -3])
+    def test_min_size_below_one_is_rejected(self, min_size):
+        with pytest.raises(ValueError, match="min_size must be at least 1"):
+            summarize(self._output(), min_size=min_size)
+
     def test_ppcm_block_structure(self):
         summ = summarize(self._output(), min_size=2)
         assert summ.ppcm[0, 1] == 1.0

@@ -11,7 +11,6 @@ from novelbayes import sampler
 from novelbayes.errors import AllSlicesEmpty, DimensionMismatch, NotPositiveDefinite
 from novelbayes.model import (
     GammaPrior,
-    GaussianAtom,
     Hyperparameters,
     NIWParams,
     _alpha_of,
@@ -23,6 +22,7 @@ from novelbayes.sampler import (
     _CHECK_ROWS,
     ChainOutput,
     GaussianFamily,
+    NIWStack,
     TestDataset,
     _initial_state,
     _label_swap_sweep,
@@ -32,7 +32,6 @@ from novelbayes.sampler import (
     niw_atoms,
     niw_posterior,
     run_chain,
-    sample_niw,
     update_gamma,
 )
 
@@ -48,8 +47,27 @@ def _summary(mean, scatter):
 
 
 def _atoms(laws, rng):
-    """One atom per NIW law: the draws law by law, then the stacked atoms."""
-    return niw_atoms(laws, [sample_niw(law, rng) for law in laws])
+    """One atom per NIW law, as the (means, covs) stacks of :func:`niw_atoms`."""
+    return niw_atoms(NIWStack.of(laws), rng)
+
+
+def _split(atoms, J):
+    """Known and novelty atoms: the first J atoms of a stack and the rest."""
+    means, covs = atoms
+    return (means[:J], covs[:J]), (means[J:], covs[J:])
+
+
+def _posterior(prior, obs):
+    """The posterior of one law, as the stacked pass on a stack of that law."""
+    obs = np.asarray(obs, dtype=float)
+    post = niw_posterior(NIWStack.of([prior]), obs, [len(obs)])
+    return NIWParams(*(a[0] for a in post))
+
+
+def _slots(zeta, n_slots):
+    """The units sorted stably by slot and each slot's count, as a scan
+    passes them to ``draw_atoms``."""
+    return np.argsort(zeta, kind="stable"), np.bincount(zeta, minlength=n_slots + 1)[1:]
 
 
 def _hyper(class_sizes, p, **kw):
@@ -63,12 +81,12 @@ def _hyper(class_sizes, p, **kw):
 
 class TestNiwPosterior:
     def test_empty_returns_prior(self):
-        prior = NIWParams([0.0], 1.0, 3.0, [[1.0]])
-        post = niw_posterior(prior, np.empty((0, 1)))
+        prior = NIWStack.of([NIWParams([0.0], 1.0, 3.0, [[1.0]])])
+        post = niw_posterior(prior, np.empty((0, 1)), [0])
         assert post is prior
 
     def test_single_observation_hand_algebra(self):
-        post = niw_posterior(NIWParams([0.0], 1.0, 3.0, [[1.0]]), np.array([[2.0]]))
+        post = _posterior(NIWParams([0.0], 1.0, 3.0, [[1.0]]), np.array([[2.0]]))
         assert post.mean[0] == pytest.approx(1.0)
         assert post.precision_scale == pytest.approx(2.0)
         assert post.dof == pytest.approx(4.0)
@@ -78,8 +96,8 @@ class TestNiwPosterior:
         rng = np.random.default_rng(0)
         prior = NIWParams(rng.normal(size=3), 0.7, 9.0, np.eye(3) + 0.2)
         obs = rng.normal(size=(12, 3))
-        batch = niw_posterior(prior, obs)
-        seq = niw_posterior(niw_posterior(prior, obs[:5]), obs[5:])
+        batch = _posterior(prior, obs)
+        seq = _posterior(_posterior(prior, obs[:5]), obs[5:])
         assert seq.mean == pytest.approx(batch.mean, rel=1e-12)
         assert seq.precision_scale == pytest.approx(batch.precision_scale)
         assert seq.dof == pytest.approx(batch.dof)
@@ -96,7 +114,7 @@ class TestNiwPosterior:
         diff = xbar - prior.mean
         scale = prior.scale_matrix + dev.T @ dev \
             + (prior.precision_scale * n / lam) * np.outer(diff, diff)
-        post = niw_posterior(prior, obs)
+        post = _posterior(prior, obs)
         assert np.array_equal(post.mean, (prior.precision_scale * prior.mean + n * xbar) / lam)
         assert np.array_equal(post.scale_matrix, scale)
 
@@ -107,7 +125,7 @@ class TestNiwPosterior:
         # O(1) shape difference
         prior = NIWParams([0.5], 2.0, 5.0, [[2.0]])
         obs = np.array([[1.2], [0.4]])
-        post = niw_posterior(prior, obs)
+        post = _posterior(prior, obs)
 
         mus = np.linspace(-1.5, 2.5, 401)
         s2s = np.linspace(0.02, 4.0, 399)
@@ -129,7 +147,7 @@ class TestNiwPosterior:
 class TestSampleNiw:
     def test_inverse_wishart_mean(self):
         rng = np.random.default_rng(1)
-        draws = np.array([_atoms([NIWParams([0.0], 1.0, 5.0, [[3.0]])], rng)[0].cov[0, 0]
+        draws = np.array([_atoms([NIWParams([0.0], 1.0, 5.0, [[3.0]])], rng)[1][0, 0, 0]
                           for _ in range(100000)])
         se = draws.std() / math.sqrt(draws.size)
         assert draws.mean() == pytest.approx(3.0 / (5.0 - 2.0), abs=3 * se)
@@ -138,8 +156,8 @@ class TestSampleNiw:
         rng = np.random.default_rng(2)
         params = NIWParams(np.zeros(3), 0.5, 6.0, np.eye(3))
         for _ in range(200):
-            atom, = _atoms([params], rng)
-            assert np.linalg.eigvalsh(atom.cov)[0] > 0
+            _, (cov,) = _atoms([params], rng)
+            assert np.linalg.eigvalsh(cov)[0] > 0
 
     def test_degenerate_dof_limit(self):
         # S = nu * Sigma0 concentrates the draw at Sigma0 as nu grows
@@ -147,7 +165,7 @@ class TestSampleNiw:
         Sigma0 = np.array([[2.0, 0.5], [0.5, 1.0]])
         dists = []
         for nu in (50.0, 5000.0):
-            draws = [_atoms([NIWParams(np.zeros(2), 1.0, nu, nu * Sigma0)], rng)[0].cov
+            draws = [_atoms([NIWParams(np.zeros(2), 1.0, nu, nu * Sigma0)], rng)[1][0]
                      for _ in range(200)]
             dists.append(np.mean([np.linalg.norm(d - Sigma0, 2) for d in draws]))
         assert dists[1] < dists[0] / 5
@@ -155,7 +173,7 @@ class TestSampleNiw:
     def test_high_precision_pins_mean(self):
         rng = np.random.default_rng(4)
         m = np.array([3.0, -2.0])
-        draws = np.array([_atoms([NIWParams(m, 1e8, 10.0, np.eye(2))], rng)[0].mean
+        draws = np.array([_atoms([NIWParams(m, 1e8, 10.0, np.eye(2))], rng)[0][0]
                           for _ in range(100)])
         assert np.abs(draws - m).max() < 1e-3
 
@@ -191,9 +209,9 @@ class TestSampleNiw:
         params = NIWParams(np.arange(p, dtype=float), 0.5, p + 3.0, S)
         got_rng, want_rng = np.random.default_rng(p), np.random.default_rng(p)
         for _ in range(20):
-            atom, = _atoms([params], got_rng)
+            (got_mean,), (got_cov,) = _atoms([params], got_rng)
             mean, cov = reference(params, want_rng)
-            assert np.array_equal(atom.mean, mean) and np.array_equal(atom.cov, cov)
+            assert np.array_equal(got_mean, mean) and np.array_equal(got_cov, cov)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 7, 9])
     def test_stack_equals_the_per_law_loop_bit_for_bit(self, p):
@@ -210,48 +228,147 @@ class TestSampleNiw:
                                       A @ A.T + rng.uniform(0.01, 3.0) * np.eye(p)))
             seed = int(rng.integers(2**32))
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            atoms = _atoms(laws, got_rng)
-            for atom, law in zip(atoms, laws, strict=True):
+            for got_mean, got_cov, law in zip(*_atoms(laws, got_rng), laws, strict=True):
                 mean, cov = oracles.sample_niw_one(law, want_rng)
-                assert np.array_equal(atom.mean, mean) and np.array_equal(atom.cov, cov)
+                assert np.array_equal(got_mean, mean) and np.array_equal(got_cov, cov)
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
-def _draw_atoms_reference(family, members, known, rng):
-    """The per-slot draw: each slot's posterior law, drawn one at a time."""
-    laws = [] if family.known_niw is None else \
-        [niw_posterior(law, family.data[rows]) for law, rows in zip(family.known_niw, members)]
-    laws += [niw_posterior(family.base_measure, family.data[rows])
-             for rows in members[len(known):]]
+def _random_laws(rng, p, K):
+    """K NIW laws with their own means, precisions, degrees of freedom and scales."""
+    laws = []
+    for _ in range(K):
+        A = rng.normal(size=(p, p))
+        laws.append(NIWParams(rng.normal(size=p) * 5.0, rng.uniform(0.01, 50.0),
+                              p - 1 + rng.uniform(0.5, 40.0),
+                              A @ A.T + rng.uniform(0.01, 3.0) * np.eye(p)))
+    return laws
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 7])
+def test_stacked_posterior_equals_the_per_law_reference(p):
+    """Runs of 0, 1, 2, 5 and 200 rows under laws of their own: every row of
+    the stacked posterior has the bits of the per-law update, and a law
+    with an empty run keeps its prior row."""
+    rng = np.random.default_rng(60 + p)
+    for sizes in ([0, 1, 200, 0, 5, 2], [200], [1], [0, 0, 3], [7, 0]):
+        laws = _random_laws(rng, p, len(sizes))
+        X = rng.normal(size=(sum(sizes), p)) * 3.0
+        prior = NIWStack.of(laws)
+        post = niw_posterior(prior, X, sizes)
+        bounds = np.cumsum([0] + sizes)
+        for k, law in enumerate(laws):
+            want = oracles.niw_posterior_one(law, X[bounds[k]:bounds[k + 1]])
+            for name in NIWStack._fields:
+                assert np.array_equal(getattr(post, name)[k], getattr(want, name))
+        assert all(np.array_equal(a, b) for a, b in zip(prior, NIWStack.of(laws)))
+
+
+@pytest.mark.parametrize("sizes", [[3], [1, 1, 1], [2, 2]])
+def test_stacked_posterior_rejects_runs_that_do_not_fit(sizes):
+    laws = NIWStack.of([NIWParams(np.zeros(2), 1.0, 4.0, np.eye(2))] * 2)
+    with pytest.raises(DimensionMismatch, match="sizes"):
+        niw_posterior(laws, np.ones((3, 2)), sizes)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 7])
+def test_stacked_atoms_equal_the_per_law_draws(p):
+    """The atoms of a stack of posteriors, each law's random calls made into
+    its buffer rows, are the per-law draws, and leave the generator where
+    they do."""
+    rng = np.random.default_rng(70 + p)
+    for sizes in ([0, 1, 200, 0, 5], [1], [0]):
+        laws = _random_laws(rng, p, len(sizes))
+        X = rng.normal(size=(sum(sizes), p))
+        post = niw_posterior(NIWStack.of(laws), X, sizes)
+        got_rng, want_rng = np.random.default_rng(p), np.random.default_rng(p)
+        means, covs = niw_atoms(post, got_rng)
+        for k in range(len(sizes)):
+            mean, cov = oracles.sample_niw_one(NIWParams(*(a[k] for a in post)), want_rng)
+            assert np.array_equal(means[k], mean) and np.array_equal(covs[k], cov)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def _draw_atoms_reference(data, priors, hp, members, rng):
+    """The per-slot draw: each slot's posterior law by the per-law update,
+    drawn one at a time; frozen known atoms stay at the Stage-I estimates."""
+    J = len(priors)
+    laws = [] if hp.frozen_known_atoms else \
+        [oracles.niw_posterior_one(sampler._training_niw(s, hp), data[rows])
+         for s, rows in zip(priors, members)]
+    laws += [oracles.niw_posterior_one(hp.base_measure, data[rows]) for rows in members[J:]]
     atoms = [oracles.sample_niw_one(law, rng) for law in laws]
-    if family.known_niw is None:
-        return [(a.mean, a.cov) for a in known], atoms
-    return atoms[:len(known)], atoms[len(known):]
+    if hp.frozen_known_atoms:
+        return [(s.mean, s.scatter) for s in priors], atoms
+    return atoms[:J], atoms[J:]
 
 
 @pytest.mark.parametrize("frozen", [False, True])
 def test_draw_atoms_equals_the_per_slot_draws(frozen):
-    rng = np.random.default_rng(21)
-    data = rng.normal(size=(30, 3)) * 2.0
-    kw = dict(lambda_tr=1e6, nu_tr=1e6) if frozen else {}
-    family = GaussianFamily(TestDataset(data), [_summary(np.zeros(3), np.eye(3))] * 2,
-                            _hyper([5, 5], 3, **kw))
-    known = family.initial_known()
-    zeta = rng.integers(1, 7, size=30)
-    zeta[:2] = 6  # slot 6 occupied; others may be empty
-    members = sampler._members(zeta, np.bincount(zeta, minlength=7))
-    got_known, got_novel = family.draw_atoms(members, known, [], np.random.default_rng(3))
-    want_known, want_novel = _draw_atoms_reference(family, members, known,
-                                                   np.random.default_rng(3))
-    if frozen:
-        assert got_known is known
-    for atom, (mean, cov) in zip(got_known + got_novel, want_known + want_novel, strict=True):
-        assert np.array_equal(atom.mean, mean) and np.array_equal(atom.cov, cov)
+    """Empty, one-member and 200-row slots, known and novelty, drawn by one
+    posterior pass and one stacked atom draw at p = 1, 2, 3 and 7: the
+    per-slot reference's atoms and generator state."""
+    for p in (1, 2, 3, 7):
+        rng = np.random.default_rng(21 + p)
+        M = 230
+        data = rng.normal(size=(M, p)) * 2.0
+        kw = dict(lambda_tr=1e6, nu_tr=1e6) if frozen else {}
+        hp = _hyper([5, 5], p, **kw)
+        priors = [_summary(rng.normal(size=p), np.eye(p) * (j + 1)) for j in range(2)]
+        family = GaussianFamily(TestDataset(data), priors, hp)
+        known = family.initial_known()
+        # slot 1 has 200 members, slot 3 one, slots 2 and 7 none
+        zeta = np.concatenate([np.full(200, 1), [3], rng.integers(4, 7, size=M - 201)])
+        rng.shuffle(zeta)
+        order, counts = _slots(zeta, 7)
+        assert counts[0] == 200 and counts[1] == 0 and counts[2] == 1 and counts[6] == 0
+        got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+        got_known, got_novel = family.draw_atoms(order, counts, known, None, [], got_rng)
+        members = [np.flatnonzero(zeta == l) for l in range(1, 8)]
+        want_known, want_novel = _draw_atoms_reference(data, priors, hp, members, want_rng)
+        if frozen:
+            assert got_known is known
+        assert len(got_novel[0]) == 5
+        means, covs = (np.concatenate(pair) for pair in zip(got_known, got_novel))
+        for mean, cov, (want_mean, want_cov) in zip(means, covs, want_known + want_novel,
+                                                    strict=True):
+            assert np.array_equal(mean, want_mean) and np.array_equal(cov, want_cov)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_one_scan_makes_one_posterior_pass_and_one_draw_call_per_law(monkeypatch):
+    """Tooling guard: a Gaussian scan calls ``niw_posterior`` once and
+    ``sample_niw`` once per drawn law (L slots, or the L - J novelty slots
+    when frozen), and builds no per-slot NIWParams."""
+    calls = {"niw_posterior": 0, "sample_niw": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(sampler, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(sampler, name, counted)
+
+    def no_law(self):
+        raise AssertionError("a scan built an NIWParams")
+
+    rng = np.random.default_rng(40)
+    data = TestDataset(np.vstack([rng.normal(0, 1, (20, 2)), rng.normal(9, 1, (6, 2))]))
+    priors = [_summary([0.0, 0.0], np.eye(2)), _summary([4.0, 4.0], np.eye(2))]
+    for kw in ({}, dict(lambda_tr=1e6, nu_tr=1e6)):
+        hp = _hyper([20, 20], 2, seed=41, **kw)
+        family = GaussianFamily(data, priors, hp)
+        state = _initial_state(family, hp)
+        with monkeypatch.context() as scan:
+            scan.setattr(NIWParams, "__post_init__", no_law)
+            for _ in range(20):
+                calls.update(niw_posterior=0, sample_niw=0)
+                state = gibbs_step(state, family, hp, rng)
+                drawn = state.L_star - (2 if hp.frozen_known_atoms else 0)
+                assert calls == {"niw_posterior": 1, "sample_niw": drawn}
 
 
 def _full_columns(data, atoms):
     """Every unit's density under every atom, one full column per atom."""
-    return np.column_stack([oracles.gaussian_column(data, a.mean, a.cov) for a in atoms])
+    return np.column_stack([oracles.gaussian_column(data, mean, cov) for mean, cov in zip(*atoms)])
 
 
 def _family(data, n_known):
@@ -272,7 +389,7 @@ def _masked_loglik_case(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     data = rng.normal(size=(M, p)) * rng.uniform(0.1, 5.0)
     base = NIWParams(np.zeros(p), 0.1, p + 2.0, np.eye(p))
-    atoms = _atoms([base] * (J + K), rng)
+    known, novel = _split(_atoms([base] * (J + K), rng), J)
     xi = xi_values(0.5, J, J + K)
     u = rng.random(M) * xi[J]
     single, full = draw(st.lists(st.integers(J + 1, J + K - 1), min_size=2,
@@ -280,7 +397,7 @@ def _masked_loglik_case(draw):
     lowest, second = np.sort(u)[:2]
     xi[single] = np.nextafter(lowest, 1.0) if lowest < second else lowest
     xi[full] = 1.0
-    return data, atoms[:J], atoms[J:], u, xi
+    return data, known, novel, u, xi
 
 
 @settings(max_examples=80, deadline=None)
@@ -288,7 +405,7 @@ def _masked_loglik_case(draw):
 def test_masked_loglik_equals_full_loglik_on_eligible_cells(case):
     data, known, novel, u, xi = case
     eligible = u[:, None] < xi
-    full = _full_columns(data, known + novel)
+    full = _full_columns(data, [np.concatenate(pair) for pair in zip(known, novel)])
     cells = _family(data, len(known)).loglik(known, novel, _staircase(u, xi))
     got = oracles.staircase_to_dense(cells, u, xi)
     assert np.array_equal(got[eligible], full[eligible])
@@ -310,7 +427,7 @@ def test_prefix_densities_equal_full_columns_bit_for_bit(p, M):
                    np.nextafter(us[min(1, M - 1)], 2.0), us[-1], 1.0, 0.0])
     eligible = u[:, None] < xi
     assert {0, 1, min(2, M), max(M - 1, 0), M} <= set(eligible.sum(axis=0).tolist())
-    cells = _family(data, 2).loglik(atoms[:2], atoms[2:], _staircase(u, xi))
+    cells = _family(data, 2).loglik(*_split(atoms, 2), _staircase(u, xi))
     assert cells.shape == (np.count_nonzero(eligible),)
     got = oracles.staircase_to_dense(cells, u, xi)
     assert np.array_equal(got[eligible], _full_columns(data, atoms)[eligible])
@@ -330,14 +447,14 @@ def test_column_major_data_give_the_row_major_densities_and_atoms(p):
     stair = _staircase(rng.random(M) * xi[2], xi)
     row_major, column_major = _family(data, 2), _family(np.asfortranarray(data), 2)
     assert column_major.data.flags.f_contiguous and not column_major.data.flags.c_contiguous
-    cells = row_major.loglik(atoms[:2], atoms[2:], stair)
-    assert np.array_equal(column_major.loglik(atoms[:2], atoms[2:], stair), cells)
-    zeta = rng.integers(1, 7, size=M)
-    members = sampler._members(zeta, np.bincount(zeta, minlength=7))
-    want = row_major.draw_atoms(members, atoms[:2], [], np.random.default_rng(3))
-    got = column_major.draw_atoms(members, atoms[:2], [], np.random.default_rng(3))
+    known, novel = _split(atoms, 2)
+    cells = row_major.loglik(known, novel, stair)
+    assert np.array_equal(column_major.loglik(known, novel, stair), cells)
+    order, counts = _slots(rng.integers(1, 7, size=M), 6)
+    want = row_major.draw_atoms(order, counts, known, novel, [], np.random.default_rng(3))
+    got = column_major.draw_atoms(order, counts, known, novel, [], np.random.default_rng(3))
     for a, b in zip(got[0] + got[1], want[0] + want[1], strict=True):
-        assert np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("bad, error", [(-np.eye(2), NotPositiveDefinite),
@@ -347,19 +464,19 @@ def test_stacked_factorisation_keeps_the_typed_errors(bad, error):
     rng = np.random.default_rng(0)
     data = rng.normal(size=(6, 2))
     base = NIWParams(np.zeros(2), 0.1, 4.0, np.eye(2))
-    atoms = _atoms([base] * 4, rng)
-    atoms[2] = GaussianAtom(np.zeros(2), bad)
+    means, covs = _atoms([base] * 4, rng)
+    covs[2] = bad
     with pytest.raises(error):
-        _family(data, 1).loglik(atoms[:1], atoms[1:],
+        _family(data, 1).loglik(*_split((means, covs), 1),
                                 _staircase(rng.random(6) * 0.1, np.full(4, 0.5)))
 
 
 def test_stacked_factorisation_rejects_a_non_finite_mean():
     rng = np.random.default_rng(1)
-    atoms = [GaussianAtom(np.zeros(2), np.eye(2)), GaussianAtom([0.0, np.nan], np.eye(2))]
+    atoms = np.array([[0.0, 0.0], [0.0, np.nan]]), np.array([np.eye(2)] * 2)
     with pytest.raises(ValueError, match="must not contain infs or NaNs"):
         _family(rng.normal(size=(4, 2)), 1).loglik(
-            atoms[:1], atoms[1:], _staircase(np.full(4, 0.1), np.full(2, 0.5)))
+            *_split(atoms, 1), _staircase(np.full(4, 0.1), np.full(2, 0.5)))
 
 
 def test_start_distances_of_column_major_data_equal_row_major():
